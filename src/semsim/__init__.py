@@ -8,7 +8,7 @@ from .similarity import (DcsSet, SimMeasureId, common_subsumers, dcs, lcs_ic,
                          pair_similarity, word_similarity, word_similarity_detail)
 from .taxonomy import (NodeStats, RawGraph, Synset, SynsetId, Taxonomy,
                        TaxonomyConstants, freeze)
-from .wordnet import parse_edgelist, parse_wordnet, senses
+from .wordnet import parse_edgelist, parse_wordnet
 
 __version__ = "0.1.0"
 
@@ -18,6 +18,6 @@ __all__ = [
     "SimMeasureId", "Synset", "SynsetId", "Taxonomy", "TaxonomyConstants",
     "common_subsumers", "dcs", "evaluate", "freeze", "grid_report",
     "ic_table", "ic_value", "lcs_ic", "load_dataset", "pair_similarity",
-    "parse_edgelist", "parse_wordnet", "pearson", "senses",
-    "word_similarity", "word_similarity_detail",
+    "parse_edgelist", "parse_wordnet", "pearson", "word_similarity",
+    "word_similarity_detail",
 ]

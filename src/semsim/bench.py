@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (AllPairsSkipped, EmptyDataset, LengthMismatch, MalformedRow,
-                     UnknownWord, ZeroVariance)
+                     MissingFile, UnknownWord, ZeroVariance)
 from .ic import ICConfig, ICModelId, ICTable, ic_table
 from .similarity import SimMeasureId, word_similarity
 from .taxonomy import Taxonomy
@@ -78,6 +78,8 @@ def load_dataset(path) -> BenchmarkDataset:
     An optional single header row is tolerated; ``#`` lines are comments.
     """
     path = Path(path)
+    if not path.is_file():
+        raise MissingFile(f"dataset not found: {path}")
     pairs: list[tuple[str, str, float]] = []
     seen: set[frozenset[str]] = set()
     first_data_row = True
@@ -136,14 +138,14 @@ def pearson(xs, ys) -> float:
     return max(-1.0, min(1.0, r))
 
 
-def evaluate(t: Taxonomy, dataset: BenchmarkDataset, ic_model: ICModelId,
-             measure: SimMeasureId, cfg: ICConfig = ICConfig(),
-             lcs_mode: str = "max_depth", table: ICTable | None = None) -> EvalResult:
-    """Score every dataset pair and correlate against the human ratings."""
-    ic_model = ICModelId(ic_model)
+def evaluate(t: Taxonomy, dataset: BenchmarkDataset, table: ICTable,
+             measure: SimMeasureId, lcs_mode: str = "max_depth") -> EvalResult:
+    """Score every dataset pair and correlate against the human ratings.
+
+    The IC table is the only source of the model: its values score the
+    pairs and its ``model`` names the result.
+    """
     measure = SimMeasureId(measure)
-    if table is None:
-        table = ic_table(t, ic_model, cfg)
     per_pair: list[PairScore] = []
     machine: list[float] = []
     human: list[float] = []
@@ -159,7 +161,7 @@ def evaluate(t: Taxonomy, dataset: BenchmarkDataset, ic_model: ICModelId,
     if not machine:
         raise AllPairsSkipped(f"no scorable pairs in {dataset.name}")
     raw = pearson(machine, human)
-    return EvalResult(dataset=dataset.name, ic_model=ic_model, measure=measure,
+    return EvalResult(dataset=dataset.name, ic_model=table.model, measure=measure,
                       per_pair=tuple(per_pair), pearson=round(raw, 2),
                       pearson_raw=raw, n_used=len(machine))
 
@@ -206,22 +208,19 @@ FULL_GRID: tuple[tuple[ICModelId, SimMeasureId], ...] = tuple(
 class GridReport:
     dataset: str
     results: tuple[EvalResult, ...]
-    include_pairs: bool = False
     literature: tuple = ()
 
     def to_json_obj(self) -> dict:
-        rows = []
-        for r in self.results:
-            row = {
+        rows = [
+            {
                 "ic_model": str(r.ic_model),
                 "measure": str(r.measure),
                 "pearson": r.pearson,
                 "pearson_raw": r.pearson_raw,
                 "n_used": r.n_used,
             }
-            if self.include_pairs:
-                row["pairs"] = r.to_json_obj()["pairs"]
-            rows.append(row)
+            for r in self.results
+        ]
         obj = {
             "schema": JSON_SCHEMA_VERSION,
             "dataset": self.dataset,
@@ -247,7 +246,7 @@ class GridReport:
 
 def grid_report(t: Taxonomy, dataset: BenchmarkDataset, combos,
                 cfg: ICConfig = ICConfig(), lcs_mode: str = "max_depth",
-                include_pairs: bool = False, with_literature: bool = False) -> GridReport:
+                with_literature: bool = False) -> GridReport:
     """Run a list of (ic_model, measure) combos over one dataset."""
     combos = [(ICModelId(m), SimMeasureId(s)) for m, s in combos]
     if not combos:
@@ -257,8 +256,6 @@ def grid_report(t: Taxonomy, dataset: BenchmarkDataset, combos,
     for model, measure in combos:
         if model not in tables:
             tables[model] = ic_table(t, model, cfg)
-        results.append(evaluate(t, dataset, model, measure, cfg, lcs_mode,
-                                table=tables[model]))
+        results.append(evaluate(t, dataset, tables[model], measure, lcs_mode))
     return GridReport(dataset=dataset.name, results=tuple(results),
-                      include_pairs=include_pairs,
                       literature=LITERATURE_BASELINES if with_literature else ())

@@ -17,14 +17,20 @@ import sys
 
 from . import bench
 from .errors import SemsimError
+from .ic import ICConfig, ICModelId, ic_table
+from .similarity import SimMeasureId, dcs as dcs_of_pair, word_similarity_detail
+from .taxonomy import Taxonomy, freeze
+from .wordnet import default_wordnet_dir, parse_edgelist, parse_wordnet
+
+# Part of every snapshot fingerprint: change it whenever the pickled layout
+# of Taxonomy (or what freeze stores in it) changes, so that snapshots
+# written by another layout are rebuilt instead of served.
+SNAPSHOT_FORMAT = b"semsim-taxonomy-1"
 
 
 class UsageError(Exception):
     """Bad invocation that argparse cannot catch itself (exit status 2)."""
-from .ic import ICConfig, ICModelId, ic_table, ic_value
-from .similarity import SimMeasureId, dcs as dcs_of_pair, word_similarity_detail
-from .taxonomy import Taxonomy, freeze
-from .wordnet import default_wordnet_dir, parse_edgelist, parse_wordnet
+
 
 IC_CHOICES = [m.value for m in ICModelId]
 MEASURE_CHOICES = [m.value for m in SimMeasureId]
@@ -109,8 +115,8 @@ def _ic_config(args) -> ICConfig:
 
 
 def _source_fingerprint(paths, depth_mode: str) -> str:
-    digest = hashlib.sha256()
-    digest.update(depth_mode.encode())
+    digest = hashlib.sha256(SNAPSHOT_FORMAT)
+    digest.update(b"\0" + depth_mode.encode())
     for p in paths:
         digest.update(b"\0")
         with open(p, "rb") as fh:
@@ -133,14 +139,19 @@ def load_taxonomy(args) -> Taxonomy:
     sources = [os.path.join(wn_dir, "data.noun"), os.path.join(wn_dir, "index.noun")]
     fingerprint = None
     if args.cache:
+        # A missing, damaged or foreign snapshot is a cache miss.  Unpickling
+        # arbitrary bytes can raise almost any exception (OverflowError for a
+        # bad frame length, AttributeError for a class that moved), and the
+        # snapshot is only a cache, so every failure here means rebuild.
         try:
             fingerprint = _source_fingerprint(sources, args.depth_mode)
             with open(args.cache, "rb") as fh:
                 snapshot = pickle.load(fh)
-            if snapshot.get("fingerprint") == fingerprint:
-                return snapshot["taxonomy"]
-        except (OSError, pickle.PickleError, KeyError, EOFError):
-            pass
+        except Exception:
+            snapshot = None
+        if (isinstance(snapshot, dict) and snapshot.get("fingerprint") == fingerprint
+                and isinstance(snapshot.get("taxonomy"), Taxonomy)):
+            return snapshot["taxonomy"]
     raw, word_index = parse_wordnet(wn_dir)
     taxonomy = freeze(raw, depth_mode=args.depth_mode, word_index=word_index)
     if args.cache and fingerprint is not None:
@@ -174,19 +185,16 @@ def cmd_stats(args) -> int:
 
 def cmd_ic(args) -> int:
     t = load_taxonomy(args)
-    cfg = _ic_config(args)
-    model = ICModelId(args.model)
     if args.all:
-        table = ic_table(t, model, cfg)
-        rows = [(sid, t.nodes[sid].lemmas, table[sid]) for sid in sorted(t.nodes)]
+        sense_ids = sorted(t.nodes)
     else:
         sense_ids = t.senses(args.word)
         if not sense_ids:
             raise SemsimError(f"word has no noun sense: {args.word!r}")
-        rows = [(sid, t.nodes[sid].lemmas, ic_value(t, model, sid, cfg))
-                for sid in sense_ids]
+    table = ic_table(t, args.model, _ic_config(args))
+    rows = [(sid, t.nodes[sid].lemmas, table[sid]) for sid in sense_ids]
     if args.format == "json":
-        _emit_json({"schema": bench.JSON_SCHEMA_VERSION, "model": model.value,
+        _emit_json({"schema": bench.JSON_SCHEMA_VERSION, "model": args.model,
                     "senses": [{"synset": sid, "lemmas": list(lem), "ic": round(v, 3)}
                                for sid, lem, v in rows]})
     else:
@@ -197,12 +205,10 @@ def cmd_ic(args) -> int:
 
 def cmd_sim(args) -> int:
     t = load_taxonomy(args)
-    cfg = _ic_config(args)
-    table = ic_table(t, ICModelId(args.ic), cfg)
+    table = ic_table(t, args.ic, _ic_config(args))
     measure = SimMeasureId(args.measure)
-    lcs_mode = args.lcs_mode.replace("-", "_")
     score, (sa, sb) = word_similarity_detail(t, table, measure,
-                                             args.word1, args.word2, lcs_mode)
+                                             args.word1, args.word2, args.lcs_mode)
     if args.format == "json":
         obj = {"schema": bench.JSON_SCHEMA_VERSION, "word1": args.word1,
                "word2": args.word2, "ic_model": args.ic, "measure": args.measure,
@@ -225,11 +231,9 @@ def cmd_sim(args) -> int:
 
 def cmd_dcs(args) -> int:
     t = load_taxonomy(args)
-    cfg = _ic_config(args)
-    table = ic_table(t, ICModelId(args.ic), cfg)
-    lcs_mode = args.lcs_mode.replace("-", "_")
+    table = ic_table(t, args.ic, _ic_config(args))
     _, (sa, sb) = word_similarity_detail(t, table, SimMeasureId(args.measure),
-                                         args.word1, args.word2, lcs_mode)
+                                         args.word1, args.word2, args.lcs_mode)
     members = dcs_of_pair(t, sa, sb).members
     if args.format == "json":
         _emit_json({"schema": bench.JSON_SCHEMA_VERSION, "word1": args.word1,
@@ -243,11 +247,9 @@ def cmd_dcs(args) -> int:
 
 def cmd_eval(args) -> int:
     t = load_taxonomy(args)
-    cfg = _ic_config(args)
     dataset = bench.load_dataset(args.dataset)
-    lcs_mode = args.lcs_mode.replace("-", "_")
-    result = bench.evaluate(t, dataset, ICModelId(args.ic), SimMeasureId(args.measure),
-                            cfg, lcs_mode)
+    table = ic_table(t, args.ic, _ic_config(args))
+    result = bench.evaluate(t, dataset, table, args.measure, args.lcs_mode)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(result.to_json_obj(), indent=2, sort_keys=True) + "\n")
@@ -284,11 +286,9 @@ def cmd_grid(args) -> int:
     if not args.full and not args.combos:
         raise UsageError("grid: pass --full or --combos")
     t = load_taxonomy(args)
-    cfg = _ic_config(args)
     dataset = bench.load_dataset(args.dataset)
     combos = list(bench.FULL_GRID) if args.full else _parse_combos(args.combos)
-    lcs_mode = args.lcs_mode.replace("-", "_")
-    report = bench.grid_report(t, dataset, combos, cfg, lcs_mode,
+    report = bench.grid_report(t, dataset, combos, _ic_config(args), args.lcs_mode,
                                with_literature=args.literature)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -330,6 +330,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.lcs_mode = args.lcs_mode.replace("-", "_")  # the library's spelling
     try:
         return _COMMANDS[args.command](args)
     except UsageError as exc:

@@ -16,7 +16,7 @@ statistics.  Conventions shared by all of them:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
 from typing import Mapping
@@ -234,10 +234,3 @@ def ic_table(t: Taxonomy, model: ICModelId, cfg: ICConfig = ICConfig()) -> ICTab
     return ICTable(model=model, values=MappingProxyType(values), max_ic=max_ic,
                    normalized=normalized, config=cfg)
 
-
-def normalized_copy(table: ICTable) -> ICTable:
-    """Rescale any table into [0, 1] by its maximum (no-op when bounded)."""
-    if table.bounded or table.max_ic <= 0:
-        return table
-    values = {c: v / table.max_ic for c, v in table.values.items()}
-    return replace(table, values=MappingProxyType(values), max_ic=1.0, normalized=True)

@@ -75,11 +75,6 @@ class TaxonomyConstants:
     deep_max: int
     leaves_max: int
 
-    @property
-    def max_wn(self) -> int:
-        # alias kept for the hyponym-ratio model's denominator
-        return self.node_max
-
 
 @dataclass
 class RawGraph:
@@ -145,29 +140,10 @@ class Taxonomy:
         self._subsumer_cache[synset_id] = result
         return result
 
-    def hyponyms(self, synset_id: SynsetId) -> frozenset[SynsetId]:
-        """Strict descendant set, instance hyponyms included."""
-        self._require(synset_id)
-        seen: set[SynsetId] = set()
-        queue = deque((synset_id,))
-        while queue:
-            for child in self.nodes[queue.popleft()].children:
-                if child not in seen:
-                    seen.add(child)
-                    queue.append(child)
-        return frozenset(seen)
-
-    def leaves(self, synset_id: SynsetId) -> frozenset[SynsetId]:
-        """Leaf members of ``hyponyms``; empty for a leaf node."""
-        return frozenset(c for c in self.hyponyms(synset_id) if self.is_leaf(c))
-
     def depth(self, synset_id: SynsetId) -> int:
         """Minimum edge distance from the root (0 for the root)."""
         self._require(synset_id)
         return self.stats[synset_id].depth
-
-    def is_leaf(self, synset_id: SynsetId) -> bool:
-        return not self._require(synset_id).children
 
     def senses(self, word: str) -> tuple[SynsetId, ...]:
         """Noun senses of a word; case-insensitive, spaces map to underscores."""

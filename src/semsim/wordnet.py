@@ -219,15 +219,6 @@ def serialize_edgelist(raw: RawGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def senses(index: dict[str, tuple[SynsetId, ...]], word: str) -> list[SynsetId]:
-    """All noun senses of a word, in index order; [] when the word is absent.
-
-    Matching is case-insensitive and maps spaces to underscores, so
-    "cell phone" finds the senses of the lemma "cell_phone".
-    """
-    return list(index.get(word.lower().replace(" ", "_"), ()))
-
-
 def default_wordnet_dir() -> str | None:
     """Directory from the SEMSIM_WORDNET_DIR environment variable, if set."""
     value = os.environ.get(WORDNET_DIR_ENV, "").strip()

@@ -82,3 +82,61 @@ def random_raw_graph(rng: random.Random, max_nodes: int = 50,
 def random_taxonomy(rng: random.Random, max_nodes: int = 50,
                     max_parents: int = 3) -> Taxonomy:
     return freeze(random_raw_graph(rng, max_nodes, max_parents))
+
+
+def brute_closure(t, start, direction):
+    """Transitive closure by naive fixpoint iteration (independent oracle)."""
+    acc = set()
+    frontier = {start}
+    while frontier:
+        nxt = set()
+        for node in frontier:
+            for other in getattr(t.nodes[node], direction):
+                if other not in acc:
+                    acc.add(other)
+                    nxt.add(other)
+        frontier = nxt
+    return acc
+
+
+HEADER = "  1 crafted miniature database for tests  \n  2 not a real license  \n"
+
+
+def data_line(offset, lemmas, pointers, offsets):
+    words = " ".join(f"{w} 0" for w in lemmas)
+    ptrs = "".join(f" {sym} {offsets[i]} {pos} 0000" for sym, i, pos in pointers)
+    return f"{offset} 03 n {len(lemmas):02x} {words} {len(pointers):03d}{ptrs} | crafted gloss  \n"
+
+
+def write_wordnet(tmp_path, synsets, index_rows=None, break_offsets=False):
+    """Render synsets with self-consistent byte offsets (two passes).
+
+    synsets: list of (lemmas, pointers) with pointers as (symbol, target_index, pos).
+    """
+    offsets = ["00000000"] * len(synsets)
+    for _ in range(2):  # offsets are fixed width, second pass stabilizes
+        text = HEADER
+        positions = []
+        for (lemmas, pointers), off in zip(synsets, offsets):
+            positions.append(len(text.encode("utf-8")))
+            text += data_line(off, lemmas, pointers, offsets)
+        offsets = [f"{p:08d}" for p in positions]
+    if break_offsets:
+        offsets = [f"{int(o) + 1:08d}" for o in offsets]
+        text = HEADER + "".join(
+            data_line(off, lemmas, pointers, offsets)
+            for (lemmas, pointers), off in zip(synsets, offsets))
+    (tmp_path / "data.noun").write_text(text, encoding="utf-8")
+
+    if index_rows is None:
+        index_rows = []
+        for i, (lemmas, _) in enumerate(synsets):
+            for w in lemmas:
+                index_rows.append((w.lower(), [i]))
+    lines = HEADER
+    for lemma, sense_indexes in index_rows:
+        offs = " ".join(offsets[i] for i in sense_indexes)
+        n = len(sense_indexes)
+        lines += f"{lemma} n {n} 1 @ {n} 0 {offs}  \n"
+    (tmp_path / "index.noun").write_text(lines, encoding="utf-8")
+    return offsets

@@ -10,9 +10,9 @@ from hypothesis import given, strategies as st
 from semsim.bench import (FULL_GRID, BenchmarkDataset, evaluate, grid_report,
                           load_dataset, pearson)
 from semsim.errors import (AllPairsSkipped, EmptyDataset, LengthMismatch,
-                           MalformedRow, ZeroVariance)
-from semsim.ic import ICModelId
-from semsim.similarity import SimMeasureId
+                           MalformedRow, MissingFile, ZeroVariance)
+from semsim.ic import ICModelId, ic_table
+from semsim.similarity import SimMeasureId, word_similarity
 from semsim.taxonomy import RawGraph, freeze
 
 from conftest import DATA
@@ -102,6 +102,10 @@ class TestLoadDataset:
         with pytest.raises(EmptyDataset):
             load_dataset(p)
 
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(MissingFile):
+            load_dataset(tmp_path / "absent.tsv")
+
 
 @pytest.fixture
 def toy():
@@ -121,7 +125,7 @@ class TestEvaluate:
     def test_scores_and_rounding(self, toy):
         ds = toy_dataset([("car", "truck", 3.5), ("car", "path", 1.0),
                           ("vehicle", "car", 3.0)])
-        res = evaluate(toy, ds, ICModelId.PROPOSED, SimMeasureId.LIN)
+        res = evaluate(toy, ds, ic_table(toy, ICModelId.PROPOSED), SimMeasureId.LIN)
         assert res.n_used == 3
         assert res.pearson == round(res.pearson_raw, 2)
         assert all(p.status == "ok" for p in res.per_pair)
@@ -129,7 +133,7 @@ class TestEvaluate:
     def test_unknown_words_are_skipped_not_zeroed(self, toy):
         ds = toy_dataset([("car", "truck", 3.5), ("car", "spaceship", 2.0),
                           ("truck", "path", 0.5)])
-        res = evaluate(toy, ds, ICModelId.PROPOSED, SimMeasureId.LIN)
+        res = evaluate(toy, ds, ic_table(toy, ICModelId.PROPOSED), SimMeasureId.LIN)
         assert res.n_used == 2
         statuses = [p.status for p in res.per_pair]
         assert statuses == ["ok", "skipped_unknown_word", "ok"]
@@ -138,20 +142,31 @@ class TestEvaluate:
     def test_all_pairs_skipped(self, toy):
         ds = toy_dataset([("ghost", "spirit", 1.0)])
         with pytest.raises(AllPairsSkipped):
-            evaluate(toy, ds, ICModelId.PROPOSED, SimMeasureId.LIN)
+            evaluate(toy, ds, ic_table(toy, ICModelId.PROPOSED), SimMeasureId.LIN)
 
     def test_repeat_runs_are_byte_identical(self, toy):
         ds = toy_dataset([("car", "truck", 3.5), ("car", "path", 1.0),
                           ("vehicle", "path", 0.5)])
-        a = evaluate(toy, ds, ICModelId.PROPOSED, SimMeasureId.PROPOSED)
-        b = evaluate(toy, ds, ICModelId.PROPOSED, SimMeasureId.PROPOSED)
+        a = evaluate(toy, ds, ic_table(toy, ICModelId.PROPOSED), SimMeasureId.PROPOSED)
+        b = evaluate(toy, ds, ic_table(toy, ICModelId.PROPOSED), SimMeasureId.PROPOSED)
         dump = lambda r: json.dumps(r.to_json_obj(), sort_keys=True)
         assert dump(a) == dump(b)
 
+    def test_result_names_the_table_model(self, toy):
+        ds = toy_dataset([("car", "truck", 3.5), ("car", "path", 1.0),
+                          ("vehicle", "car", 3.0)])
+        seco = ic_table(toy, ICModelId.SECO)
+        res = evaluate(toy, ds, seco, SimMeasureId.LIN)
+        assert res.ic_model == "seco"
+        assert res.to_json_obj()["ic_model"] == "seco"
+        assert res.per_pair[0].machine == word_similarity(
+            toy, seco, SimMeasureId.LIN, "car", "truck")
+
     def test_pair_order_does_not_move_the_correlation(self, toy):
         rows = [("car", "truck", 3.5), ("car", "path", 1.0), ("vehicle", "path", 0.5)]
-        forward = evaluate(toy, toy_dataset(rows), ICModelId.SECO, SimMeasureId.LIN)
-        backward = evaluate(toy, toy_dataset(rows[::-1]), ICModelId.SECO, SimMeasureId.LIN)
+        seco = ic_table(toy, ICModelId.SECO)
+        forward = evaluate(toy, toy_dataset(rows), seco, SimMeasureId.LIN)
+        backward = evaluate(toy, toy_dataset(rows[::-1]), seco, SimMeasureId.LIN)
         assert forward.pearson_raw == pytest.approx(backward.pearson_raw, rel=1e-12)
 
 

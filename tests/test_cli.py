@@ -1,14 +1,33 @@
 """End-to-end CLI behavior through main(argv)."""
 
 import json
+import pickle
 
 import pytest
 
+from semsim import cli
 from semsim.cli import main
+from semsim.taxonomy import freeze
+from semsim.wordnet import parse_edgelist
 
-from conftest import DATA, FIXTURES
+from conftest import DATA, FIXTURES, write_wordnet
 
 CHAIN = ["--edgelist", str(FIXTURES / "chain.tsv")]
+
+
+@pytest.fixture
+def wordnet_db(tmp_path):
+    """A small noun database in the WordNet format; "car" has two senses."""
+    db = tmp_path / "wordnet"
+    db.mkdir()
+    up = lambda i: [("@", i, "n")]
+    synsets = [(["entity"], []), (["vehicle"], up(0)), (["car", "auto"], up(1)),
+               (["truck"], up(1)), (["rail_vehicle"], up(1)), (["car", "railcar"], up(4)),
+               (["boxcar"], up(5)), (["path"], up(0))]
+    rows = [(lemma, [i]) for i, (lemmas, _) in enumerate(synsets)
+            for lemma in lemmas if lemma != "car"]
+    write_wordnet(db, synsets, index_rows=rows + [("car", [2, 5])])
+    return str(db)
 
 
 def run(capsys, *argv):
@@ -68,6 +87,16 @@ class TestIc:
         assert code == 0
         assert ids == sorted(ids) and len(ids) == 3
 
+    @pytest.mark.parametrize("flags", [(), ("--normalize-unbounded",)])
+    def test_word_rows_match_full_dump(self, capsys, wordnet_db, flags):
+        source = ("--wordnet", wordnet_db, *flags)
+        _, dump, _ = run(capsys, *source, "ic", "--model", "qingbo", "--all")
+        by_synset = {line.split("\t")[0]: line for line in dump.splitlines()}
+        code, out, _ = run(capsys, *source, "ic", "--model", "qingbo", "--word", "car")
+        rows = out.splitlines()
+        assert code == 0 and len(rows) == 2
+        assert rows == [by_synset[row.split("\t")[0]] for row in rows]
+
 
 class TestSim:
     def test_three_decimal_output(self, capsys):
@@ -107,6 +136,12 @@ def toy_dataset(tmp_path):
 
 
 class TestEval:
+    def test_missing_dataset_exits_1(self, capsys, tmp_path):
+        code, out, err = run(capsys, *CHAIN, "eval", "--dataset", str(tmp_path / "nope.tsv"),
+                             "--ic", "seco", "--measure", "lin")
+        assert code == 1 and out == ""
+        assert err.startswith("semsim: ") and "nope.tsv" in err
+
     def test_report_and_json_file(self, capsys, tmp_path, toy_dataset):
         out_json = tmp_path / "report.json"
         code, out, _ = run(capsys, *CHAIN, "eval", "--dataset", toy_dataset,
@@ -174,13 +209,32 @@ class TestWordNetCli:
         assert code == 0
         assert "pearson: 0.86" in out
 
-    def test_snapshot_cache_round_trip(self, capsys, wordnet_dir, tmp_path):
+
+class TestSnapshotCache:
+    def test_snapshot_cache_round_trip(self, capsys, wordnet_db, tmp_path):
         cache = tmp_path / "wn.snapshot"
-        args = ("--wordnet", wordnet_dir, "--cache", str(cache), "stats")
+        args = ("--wordnet", wordnet_db, "--cache", str(cache), "stats")
         code1, out1, _ = run(capsys, *args)
         assert code1 == 0 and cache.exists()
         code2, out2, _ = run(capsys, *args)
         assert code2 == 0 and out2 == out1
-        cache.write_bytes(b"corrupt")
-        code3, out3, _ = run(capsys, *args)  # bad snapshot falls back to parsing
-        assert code3 == 0 and out3 == out1
+        fingerprint = pickle.loads(cache.read_bytes())["fingerprint"]
+        for junk in (b"corrupt", b"\x80\x04\x95" + b"\xff" * 8, pickle.dumps([1, 2, 3]),
+                     pickle.dumps({"fingerprint": fingerprint, "taxonomy": "junk"})):
+            cache.write_bytes(junk)
+            code3, out3, err3 = run(capsys, *args)  # bad snapshot falls back to parsing
+            assert (code3, out3, err3) == (0, out1, "")
+
+    def test_snapshot_of_another_format_is_rebuilt(self, capsys, wordnet_db, tmp_path,
+                                                  monkeypatch):
+        cache = tmp_path / "wn.snapshot"
+        args = ("--wordnet", wordnet_db, "--cache", str(cache), "stats")
+        _, parsed, _ = run(capsys, *args)
+        snapshot = pickle.loads(cache.read_bytes())
+        snapshot["taxonomy"] = freeze(parse_edgelist(FIXTURES / "chain.tsv"))
+        cache.write_bytes(pickle.dumps(snapshot))
+        _, served, _ = run(capsys, *args)
+        assert served != parsed  # a matching fingerprint is served as stored
+        monkeypatch.setattr(cli, "SNAPSHOT_FORMAT", b"another layout")
+        _, rebuilt, _ = run(capsys, *args)
+        assert rebuilt == parsed

@@ -7,50 +7,9 @@ import pytest
 from semsim.errors import (DanglingPointer, EmptyGraph, MalformedLine, MissingFile,
                            UnknownSynset)
 from semsim.taxonomy import freeze
-from semsim.wordnet import (parse_edgelist, parse_wordnet, senses,
-                            serialize_edgelist, synset_id)
+from semsim.wordnet import parse_edgelist, parse_wordnet, serialize_edgelist, synset_id
 
-HEADER = "  1 crafted miniature database for tests  \n  2 not a real license  \n"
-
-
-def data_line(offset, lemmas, pointers, offsets):
-    words = " ".join(f"{w} 0" for w in lemmas)
-    ptrs = "".join(f" {sym} {offsets[i]} {pos} 0000" for sym, i, pos in pointers)
-    return f"{offset} 03 n {len(lemmas):02x} {words} {len(pointers):03d}{ptrs} | crafted gloss  \n"
-
-
-def write_wordnet(tmp_path, synsets, index_rows=None, break_offsets=False):
-    """Render synsets with self-consistent byte offsets (two passes).
-
-    synsets: list of (lemmas, pointers) with pointers as (symbol, target_index, pos).
-    """
-    offsets = ["00000000"] * len(synsets)
-    for _ in range(2):  # offsets are fixed width, second pass stabilizes
-        text = HEADER
-        positions = []
-        for (lemmas, pointers), off in zip(synsets, offsets):
-            positions.append(len(text.encode("utf-8")))
-            text += data_line(off, lemmas, pointers, offsets)
-        offsets = [f"{p:08d}" for p in positions]
-    if break_offsets:
-        offsets = [f"{int(o) + 1:08d}" for o in offsets]
-        text = HEADER + "".join(
-            data_line(off, lemmas, pointers, offsets)
-            for (lemmas, pointers), off in zip(synsets, offsets))
-    (tmp_path / "data.noun").write_text(text, encoding="utf-8")
-
-    if index_rows is None:
-        index_rows = []
-        for i, (lemmas, _) in enumerate(synsets):
-            for w in lemmas:
-                index_rows.append((w.lower(), [i]))
-    lines = HEADER
-    for lemma, sense_indexes in index_rows:
-        offs = " ".join(offsets[i] for i in sense_indexes)
-        n = len(sense_indexes)
-        lines += f"{lemma} n {n} 1 @ {n} 0 {offs}  \n"
-    (tmp_path / "index.noun").write_text(lines, encoding="utf-8")
-    return offsets
+from conftest import HEADER, write_wordnet
 
 
 CHAIN = [
@@ -142,10 +101,11 @@ class TestSenses:
     def test_lookup_and_normalization(self, tmp_path):
         write_wordnet(tmp_path, CHAIN)
         raw, index = parse_wordnet(tmp_path)
-        assert len(senses(index, "organism")) == 1
-        assert senses(index, "ORGANISM") == senses(index, "organism")
-        assert senses(index, "cell phone") == senses(index, "cell_phone")
-        assert senses(index, "zzzz-not-a-word") == []
+        t = freeze(raw, word_index=index)
+        assert len(t.senses("organism")) == 1
+        assert t.senses("ORGANISM") == t.senses("organism")
+        assert t.senses("cell phone") == t.senses("cell_phone")
+        assert t.senses("zzzz-not-a-word") == ()
 
     def test_order_follows_index_file(self, tmp_path):
         synsets = [(["entity"], []),
@@ -153,8 +113,9 @@ class TestSenses:
                    (["bank"], [("@", 0, "n")])]
         offsets = write_wordnet(tmp_path, synsets,
                                 index_rows=[("entity", [0]), ("bank", [2, 1])])
-        _, index = parse_wordnet(tmp_path)
-        assert senses(index, "bank") == [synset_id(offsets[2]), synset_id(offsets[1])]
+        raw, index = parse_wordnet(tmp_path)
+        t = freeze(raw, word_index=index)
+        assert t.senses("bank") == (synset_id(offsets[2]), synset_id(offsets[1]))
 
 
 class TestEdgeList:
