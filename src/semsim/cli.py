@@ -9,11 +9,13 @@ error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import pickle
 import sys
+import tempfile
 
 from . import bench
 from .errors import SemsimError
@@ -109,9 +111,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _ic_config(args) -> ICConfig:
-    return ICConfig(zhou_k=args.zhou_k, log_base_absolute=args.log_base,
-                    leaf_self=args.leaf_self,
-                    normalize_unbounded=args.normalize_unbounded)
+    """The IC options; commands read them before loading the taxonomy, so a
+    value out of range is a usage error that costs no parse."""
+    try:
+        return ICConfig(zhou_k=args.zhou_k, log_base_absolute=args.log_base,
+                        leaf_self=args.leaf_self,
+                        normalize_unbounded=args.normalize_unbounded)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _source_fingerprint(paths, depth_mode: str) -> str:
@@ -155,13 +162,31 @@ def load_taxonomy(args) -> Taxonomy:
     raw, word_index = parse_wordnet(wn_dir)
     taxonomy = freeze(raw, depth_mode=args.depth_mode, word_index=word_index)
     if args.cache and fingerprint is not None:
-        try:
-            with open(args.cache, "wb") as fh:
-                pickle.dump({"fingerprint": fingerprint, "taxonomy": taxonomy}, fh,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-        except OSError:
-            pass  # cache is best effort
+        _write_snapshot(args.cache, {"fingerprint": fingerprint, "taxonomy": taxonomy})
     return taxonomy
+
+
+def _write_snapshot(path: str, snapshot: dict) -> None:
+    """Replace the snapshot at ``path`` in one step, or leave it as it was.
+
+    The pickle goes to a temporary file beside it, which ``os.replace``
+    then renames over ``path``, so readers never see a partial snapshot.
+    Writing is best effort: an ``OSError`` leaves the old file in place.
+    """
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
+                                   dir=os.path.dirname(os.path.abspath(path)))
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            pickle.dump(snapshot, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        os.replace(tmp, path)
+    except OSError:
+        pass  # the snapshot is only a cache
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)  # already gone after a successful replace
 
 
 def _emit_json(obj) -> None:
@@ -184,6 +209,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_ic(args) -> int:
+    cfg = _ic_config(args)
     t = load_taxonomy(args)
     if args.all:
         sense_ids = sorted(t.nodes)
@@ -191,7 +217,7 @@ def cmd_ic(args) -> int:
         sense_ids = t.senses(args.word)
         if not sense_ids:
             raise SemsimError(f"word has no noun sense: {args.word!r}")
-    table = ic_table(t, args.model, _ic_config(args))
+    table = ic_table(t, args.model, cfg)
     rows = [(sid, t.nodes[sid].lemmas, table[sid]) for sid in sense_ids]
     if args.format == "json":
         _emit_json({"schema": bench.JSON_SCHEMA_VERSION, "model": args.model,
@@ -204,8 +230,9 @@ def cmd_ic(args) -> int:
 
 
 def cmd_sim(args) -> int:
+    cfg = _ic_config(args)
     t = load_taxonomy(args)
-    table = ic_table(t, args.ic, _ic_config(args))
+    table = ic_table(t, args.ic, cfg)
     measure = SimMeasureId(args.measure)
     score, (sa, sb) = word_similarity_detail(t, table, measure,
                                              args.word1, args.word2, args.lcs_mode)
@@ -230,8 +257,9 @@ def cmd_sim(args) -> int:
 
 
 def cmd_dcs(args) -> int:
+    cfg = _ic_config(args)
     t = load_taxonomy(args)
-    table = ic_table(t, args.ic, _ic_config(args))
+    table = ic_table(t, args.ic, cfg)
     _, (sa, sb) = word_similarity_detail(t, table, SimMeasureId(args.measure),
                                          args.word1, args.word2, args.lcs_mode)
     members = dcs_of_pair(t, sa, sb).members
@@ -246,9 +274,10 @@ def cmd_dcs(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    cfg = _ic_config(args)
     t = load_taxonomy(args)
     dataset = bench.load_dataset(args.dataset)
-    table = ic_table(t, args.ic, _ic_config(args))
+    table = ic_table(t, args.ic, cfg)
     result = bench.evaluate(t, dataset, table, args.measure, args.lcs_mode)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -285,10 +314,11 @@ def _parse_combos(text: str):
 def cmd_grid(args) -> int:
     if not args.full and not args.combos:
         raise UsageError("grid: pass --full or --combos")
+    cfg = _ic_config(args)
     t = load_taxonomy(args)
     dataset = bench.load_dataset(args.dataset)
     combos = list(bench.FULL_GRID) if args.full else _parse_combos(args.combos)
-    report = bench.grid_report(t, dataset, combos, _ic_config(args), args.lcs_mode,
+    report = bench.grid_report(t, dataset, combos, cfg, args.lcs_mode,
                                with_literature=args.literature)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

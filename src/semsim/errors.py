@@ -20,7 +20,14 @@ class CycleDetected(SemsimError):
         super().__init__("hypernym cycle: " + " -> ".join(self.cycle))
 
 
-class UnknownSynset(SemsimError, KeyError):
+class _MissingKey(SemsimError, KeyError):
+    """A KeyError whose str() is its plain message, not the message's repr."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])
+
+
+class UnknownSynset(_MissingKey):
     """Raised when a synset id is not present in the taxonomy."""
 
     def __init__(self, synset_id):
@@ -28,7 +35,7 @@ class UnknownSynset(SemsimError, KeyError):
         super().__init__(f"unknown synset: {synset_id!r}")
 
 
-class UnknownWord(SemsimError, KeyError):
+class UnknownWord(_MissingKey):
     """Raised when a word has no noun sense in the taxonomy."""
 
     def __init__(self, word):

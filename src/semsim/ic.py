@@ -1,7 +1,12 @@
 """Intrinsic information content models over a frozen taxonomy.
 
-Seven models are provided, each a pure function of the cached node
-statistics.  Conventions shared by all of them:
+Seven models are provided.  Each is written once, as a kernel factory:
+given a taxonomy and an :class:`ICConfig`, it resolves the per-table
+constants once (the logs of node_max, deep_max+1 and leaves_max+1, zhou_k,
+the log base, the root's commonness) and returns a pure function of one
+node's cached :class:`NodeStats`.  :func:`ic_table` maps that kernel over
+every node; :func:`ic_value` applies it to one.  Conventions shared by all
+of them:
 
 * IC of the root is exactly 0; a single-node taxonomy yields 0 everywhere.
 * Log ratios (numerator and denominator both logs of counts) are base
@@ -15,11 +20,11 @@ statistics.  Conventions shared by all of them:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
+from math import isfinite, log
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import UnknownSynset
 from .taxonomy import NodeStats, SynsetId, Taxonomy
@@ -61,8 +66,9 @@ class ICConfig:
     def __post_init__(self):
         if not 0.0 <= self.zhou_k <= 1.0:
             raise ValueError(f"zhou_k must be in [0, 1], got {self.zhou_k}")
-        if self.log_base_absolute <= 1.0:
-            raise ValueError(f"log base must exceed 1, got {self.log_base_absolute}")
+        base = self.log_base_absolute
+        if not (isfinite(base) and base > 1.0):
+            raise ValueError(f"log base must be finite and exceed 1, got {base}")
 
 
 @dataclass(frozen=True)
@@ -86,99 +92,107 @@ class ICTable:
         return self.model in BOUNDED_MODELS or self.normalized
 
 
-def _stats(t: Taxonomy, c: SynsetId) -> NodeStats:
-    try:
-        return t.stats[c]
-    except KeyError:
-        raise UnknownSynset(c) from None
+Kernel = Callable[[NodeStats], float]
 
 
-def ic_seco(t: Taxonomy, c: SynsetId) -> float:
+def _zero(s: NodeStats) -> float:
+    return 0.0
+
+
+def _seco(t: Taxonomy, cfg: ICConfig) -> Kernel:
     """Hyponym-count ratio: 1 - log(hypo+1)/log(node_max)."""
-    s = _stats(t, c)
-    n = t.constants.node_max
-    if n == 1:
-        return 0.0
-    return 1.0 - math.log(s.hypo_count + 1) / math.log(n)
+    log_n = log(t.constants.node_max)
+
+    def seco(s: NodeStats) -> float:
+        return 1.0 - log(s.hypo_count + 1) / log_n
+    return seco
 
 
-def ic_zhou(t: Taxonomy, c: SynsetId, k: float = 0.5) -> float:
+def _zhou(t: Taxonomy, cfg: ICConfig) -> Kernel:
     """Weighted blend of the hyponym ratio and a relative depth term.
 
     The depth term uses depth+1 over deep_max+1 so the root contributes 0.
     """
-    s = _stats(t, c)
-    n = t.constants.node_max
-    if n == 1:
-        return 0.0
-    hypo_part = 1.0 - math.log(s.hypo_count + 1) / math.log(n)
-    depth_part = math.log(s.depth + 1) / math.log(t.constants.deep_max + 1)
-    return k * hypo_part + (1.0 - k) * depth_part
+    log_n = log(t.constants.node_max)
+    log_deep = log(t.constants.deep_max + 1)
+    k = cfg.zhou_k
+    k_depth = 1.0 - k
+
+    def zhou(s: NodeStats) -> float:
+        hypo_part = 1.0 - log(s.hypo_count + 1) / log_n
+        depth_part = log(s.depth + 1) / log_deep
+        return k * hypo_part + k_depth * depth_part
+    return zhou
 
 
-def ic_sanchez2011(t: Taxonomy, c: SynsetId, cfg: ICConfig = ICConfig()) -> float:
+def _sanchez2011(t: Taxonomy, cfg: ICConfig) -> Kernel:
     """Leaves-per-subsumer ratio: -log_b((leaves/subsumers + 1)/(leaves_max + 1))."""
-    s = _stats(t, c)
-    if t.constants.node_max == 1:
-        return 0.0
-    leaves = s.leaf_count
-    if cfg.leaf_self and s.hypo_count == 0:
-        leaves = 1
-    ratio = (leaves / s.subsumer_count + 1.0) / (t.constants.leaves_max + 1.0)
-    return -math.log(ratio, cfg.log_base_absolute) + 0.0  # avoid -0.0 at the root
+    denominator = t.constants.leaves_max + 1.0
+    base = cfg.log_base_absolute
+    leaf_self = cfg.leaf_self
+
+    def sanchez2011(s: NodeStats) -> float:
+        leaves = s.leaf_count
+        if leaf_self and s.hypo_count == 0:
+            leaves = 1
+        ratio = (leaves / s.subsumer_count + 1.0) / denominator
+        return -log(ratio, base) + 0.0  # avoid -0.0 at the root
+    return sanchez2011
 
 
-def ic_commonness2012(t: Taxonomy, c: SynsetId, cfg: ICConfig = ICConfig()) -> float:
+def _commonness2012(t: Taxonomy, cfg: ICConfig) -> Kernel:
     """Commonness ratio against the root.
 
     commonness of a leaf is 1/subsumer_count(leaf); of an inner node, the
     sum of its leaf descendants' commonness.
     """
-    s = _stats(t, c)
-    root_s = t.stats[t.root]
-    own = _commonness(s)
-    total = _commonness(root_s)
-    return -math.log(own / total, cfg.log_base_absolute) + 0.0  # avoid -0.0 at the root
+    total = t.stats[t.root].leaf_commonness  # the root is no leaf once node_max > 1
+    base = cfg.log_base_absolute
+
+    def commonness2012(s: NodeStats) -> float:
+        own = 1.0 / s.subsumer_count if s.hypo_count == 0 else s.leaf_commonness
+        return -log(own / total, base) + 0.0  # avoid -0.0 at the root
+    return commonness2012
 
 
-def _commonness(s: NodeStats) -> float:
-    if s.hypo_count == 0:
-        return 1.0 / s.subsumer_count
-    return s.leaf_commonness
-
-
-def ic_meng(t: Taxonomy, c: SynsetId) -> float:
+def _meng(t: Taxonomy, cfg: ICConfig) -> Kernel:
     """Depth ratio damped by the depth-weighted hyponym mass.
 
     Both factors are plain log ratios of the 0-based depth; nodes at depth
     1 therefore score 0, and the root is 0 by definition.
     """
-    s = _stats(t, c)
-    if s.depth == 0 or t.constants.node_max == 1:
-        return 0.0
+    log_n = log(t.constants.node_max)
     deep_max = t.constants.deep_max
-    depth_part = 1.0 if deep_max <= 1 else math.log(s.depth) / math.log(deep_max)
-    hypo_part = 1.0 - math.log(s.inv_depth_sum + 1.0) / math.log(t.constants.node_max)
-    return depth_part * hypo_part
+    log_deep = None if deep_max <= 1 else log(deep_max)
+
+    def meng(s: NodeStats) -> float:
+        if s.depth == 0:
+            return 0.0
+        depth_part = 1.0 if log_deep is None else log(s.depth) / log_deep
+        hypo_part = 1.0 - log(s.inv_depth_sum + 1.0) / log_n
+        return depth_part * hypo_part
+    return meng
 
 
-def ic_qingbo(t: Taxonomy, c: SynsetId) -> float:
+def _qingbo(t: Taxonomy, cfg: ICConfig) -> Kernel:
     """Three-factor model: f_depth*(1 - f_leaves) + f_hypernyms.
 
     Unbounded; the sum of the two terms can exceed 1.  The depth factor
     uses depth+1 over deep_max+1 so the root contributes 0.
     """
-    s = _stats(t, c)
-    n = t.constants.node_max
-    if n == 1:
-        return 0.0
-    f_depth = math.log(s.depth + 1) / math.log(t.constants.deep_max + 1)
-    f_leaves = math.log(s.leaf_count + 1) / math.log(t.constants.leaves_max + 1)
-    f_hypernyms = math.log(s.subsumer_count) / math.log(n)  # subsumers minus self, plus one
-    return f_depth * (1.0 - f_leaves) + f_hypernyms
+    log_n = log(t.constants.node_max)
+    log_deep = log(t.constants.deep_max + 1)
+    log_leaves = log(t.constants.leaves_max + 1)
+
+    def qingbo(s: NodeStats) -> float:
+        f_depth = log(s.depth + 1) / log_deep
+        f_leaves = log(s.leaf_count + 1) / log_leaves
+        f_hypernyms = log(s.subsumer_count) / log_n  # subsumers minus self, plus one
+        return f_depth * (1.0 - f_leaves) + f_hypernyms
+    return qingbo
 
 
-def ic_proposed(t: Taxonomy, c: SynsetId, cfg: ICConfig = ICConfig()) -> float:
+def _proposed(t: Taxonomy, cfg: ICConfig) -> Kernel:
     """Depth ratio shaped by a leaf/multi-inheritance penalty and hyponym mass.
 
     Three factors, each in [0, 1]:
@@ -188,34 +202,50 @@ def ic_proposed(t: Taxonomy, c: SynsetId, cfg: ICConfig = ICConfig()) -> float:
     F2's argument stays below 1 because leaf_count <= leaves_max and
     nmih < subsumers, so with base 10 the product stays in [0, 1].
     """
-    s = _stats(t, c)
-    n = t.constants.node_max
-    if n == 1:
-        return 0.0
-    f1 = math.log(s.depth + 1) / math.log(t.constants.deep_max + 1)
-    penalty = (s.leaf_count * s.nmih / t.constants.leaves_max) / s.subsumer_count
-    f2 = 1.0 - math.log(penalty + 1.0, cfg.log_base_absolute)
-    f3 = 1.0 - math.log(s.inv_depth_sum + 1.0) / math.log(n)
-    return f1 * f2 * f3
+    log_n = log(t.constants.node_max)
+    log_deep = log(t.constants.deep_max + 1)
+    leaves_max = t.constants.leaves_max
+    base = cfg.log_base_absolute
+
+    def proposed(s: NodeStats) -> float:
+        f1 = log(s.depth + 1) / log_deep
+        penalty = (s.leaf_count * s.nmih / leaves_max) / s.subsumer_count
+        f2 = 1.0 - log(penalty + 1.0, base)
+        f3 = 1.0 - log(s.inv_depth_sum + 1.0) / log_n
+        return f1 * f2 * f3
+    return proposed
+
+
+_KERNELS: dict[ICModelId, Callable[[Taxonomy, ICConfig], Kernel]] = {
+    ICModelId.SECO: _seco,
+    ICModelId.ZHOU: _zhou,
+    ICModelId.SANCHEZ2011: _sanchez2011,
+    ICModelId.COMMONNESS2012: _commonness2012,
+    ICModelId.MENG: _meng,
+    ICModelId.QINGBO: _qingbo,
+    ICModelId.PROPOSED: _proposed,
+}
+
+
+def _kernel(t: Taxonomy, model: ICModelId, cfg: ICConfig) -> Kernel:
+    """The model's kernel with its per-taxonomy constants resolved.
+
+    A single-node taxonomy is all root, so every model gives it 0.
+    """
+    if t.constants.node_max == 1:
+        return _zero
+    return _KERNELS[model](t, cfg)
 
 
 def ic_value(t: Taxonomy, model: ICModelId, c: SynsetId,
              cfg: ICConfig = ICConfig()) -> float:
-    """Single-node dispatch over the seven models."""
-    model = ICModelId(model)
-    if model is ICModelId.SECO:
-        return ic_seco(t, c)
-    if model is ICModelId.ZHOU:
-        return ic_zhou(t, c, cfg.zhou_k)
-    if model is ICModelId.SANCHEZ2011:
-        return ic_sanchez2011(t, c, cfg)
-    if model is ICModelId.COMMONNESS2012:
-        return ic_commonness2012(t, c, cfg)
-    if model is ICModelId.MENG:
-        return ic_meng(t, c)
-    if model is ICModelId.QINGBO:
-        return ic_qingbo(t, c)
-    return ic_proposed(t, c, cfg)
+    """IC of one node, from the kernel that :func:`ic_table` uses (never normalized)."""
+    kernel = _kernel(t, ICModelId(model), cfg)
+    try:
+        s = t.stats[c]
+    except KeyError:
+        raise UnknownSynset(c) from None
+    return kernel(s)
 
 
 def ic_table(t: Taxonomy, model: ICModelId, cfg: ICConfig = ICConfig()) -> ICTable:
@@ -224,7 +254,8 @@ def ic_table(t: Taxonomy, model: ICModelId, cfg: ICConfig = ICConfig()) -> ICTab
     The returned table is immutable and safe to share across threads.
     """
     model = ICModelId(model)
-    values = {c: ic_value(t, model, c, cfg) for c in t.nodes}
+    kernel = _kernel(t, model, cfg)
+    values = {c: kernel(s) for c, s in t.stats.items()}
     max_ic = max(values.values())
     normalized = False
     if cfg.normalize_unbounded and model not in BOUNDED_MODELS and max_ic > 0:

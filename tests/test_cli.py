@@ -59,6 +59,24 @@ class TestUsage:
         assert code == 1
         assert "ghost" in err
 
+    def test_unknown_word_message_is_not_quoted_twice(self, capsys):
+        code, _, err = run(capsys, *CHAIN, "sim", "--ic", "seco", "--measure", "lin",
+                           "leaf", "nosuch")
+        assert (code, err) == (1, "semsim: word has no noun sense: 'nosuch'\n")
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--zhou-k", "2", "zhou_k must be in [0, 1], got 2.0"),
+        ("--log-base", "nan", "log base must be finite and exceed 1, got nan"),
+        ("--log-base", "inf", "log base must be finite and exceed 1, got inf"),
+    ])
+    def test_bad_ic_config_exits_2(self, capsys, tmp_path, flag, value, message):
+        # checked before the source is read, so an absent source is not reached
+        for source in (CHAIN, ["--edgelist", str(tmp_path / "absent.tsv")]):
+            code, out, err = run(capsys, *source, flag, value, "sim", "--ic", "zhou",
+                                 "--measure", "lin", "leaf", "mid")
+            assert (code, out) == (2, "")
+            assert err.splitlines()[-1] == f"semsim: error: {message}"
+
 
 class TestStats:
     def test_text(self, capsys):
@@ -238,3 +256,24 @@ class TestSnapshotCache:
         monkeypatch.setattr(cli, "SNAPSHOT_FORMAT", b"another layout")
         _, rebuilt, _ = run(capsys, *args)
         assert rebuilt == parsed
+
+    def test_failed_write_keeps_earlier_snapshot(self, capsys, wordnet_db, tmp_path,
+                                                 monkeypatch):
+        cache = tmp_path / "wn.snapshot"
+        args = ("--wordnet", wordnet_db, "--cache", str(cache), "stats")
+        run(capsys, "--depth-mode", "max", *args)  # a snapshot the next run must replace
+        earlier = cache.read_bytes()
+        _, parsed, _ = run(capsys, "--wordnet", wordnet_db, "stats")
+
+        def full_disk(obj, fh, protocol=None):
+            fh.write(b"half a snapshot")
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(pickle, "dump", full_disk)
+        assert run(capsys, *args) == (0, parsed, "")
+        assert cache.read_bytes() == earlier
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["wn.snapshot", "wordnet"]
+
+        monkeypatch.undo()
+        assert run(capsys, *args) == (0, parsed, "")
+        assert cache.read_bytes() != earlier
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["wn.snapshot", "wordnet"]
