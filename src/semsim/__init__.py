@@ -4,8 +4,8 @@ from .bench import (BenchmarkDataset, EvalResult, GridReport, evaluate, grid_rep
                     load_dataset, pearson)
 from .errors import SemsimError
 from .ic import ICConfig, ICModelId, ICTable, ic_table, ic_value
-from .similarity import (DcsSet, SimMeasureId, common_subsumers, dcs, lcs_ic,
-                         pair_similarity, word_similarity, word_similarity_detail)
+from .similarity import (SimMeasureId, dcs, pair_similarity, word_similarity,
+                         word_similarity_detail)
 from .taxonomy import (NodeStats, RawGraph, Synset, SynsetId, Taxonomy,
                        TaxonomyConstants, freeze)
 from .wordnet import parse_edgelist, parse_wordnet
@@ -13,11 +13,10 @@ from .wordnet import parse_edgelist, parse_wordnet
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchmarkDataset", "DcsSet", "EvalResult", "GridReport", "ICConfig",
-    "ICModelId", "ICTable", "NodeStats", "RawGraph", "SemsimError",
-    "SimMeasureId", "Synset", "SynsetId", "Taxonomy", "TaxonomyConstants",
-    "common_subsumers", "dcs", "evaluate", "freeze", "grid_report",
-    "ic_table", "ic_value", "lcs_ic", "load_dataset", "pair_similarity",
+    "BenchmarkDataset", "EvalResult", "GridReport", "ICConfig", "ICModelId",
+    "ICTable", "NodeStats", "RawGraph", "SemsimError", "SimMeasureId", "Synset",
+    "SynsetId", "Taxonomy", "TaxonomyConstants", "dcs", "evaluate", "freeze",
+    "grid_report", "ic_table", "ic_value", "load_dataset", "pair_similarity",
     "parse_edgelist", "parse_wordnet", "pearson", "word_similarity",
     "word_similarity_detail",
 ]

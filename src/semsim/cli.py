@@ -243,7 +243,7 @@ def cmd_sim(args) -> int:
         if args.show_senses:
             obj["senses"] = [sa, sb]
             if measure is SimMeasureId.PROPOSED:
-                obj["dcs"] = list(dcs_of_pair(t, sa, sb).members)
+                obj["dcs"] = list(dcs_of_pair(t, sa, sb))
         _emit_json(obj)
         return 0
     print(f"{score:.3f}")
@@ -251,8 +251,7 @@ def cmd_sim(args) -> int:
         print(f"senses: {sa} ({','.join(t.nodes[sa].lemmas)})"
               f" x {sb} ({','.join(t.nodes[sb].lemmas)})")
         if measure is SimMeasureId.PROPOSED:
-            members = dcs_of_pair(t, sa, sb).members
-            print("dcs: " + " ".join(members))
+            print("dcs: " + " ".join(dcs_of_pair(t, sa, sb)))
     return 0
 
 
@@ -262,7 +261,7 @@ def cmd_dcs(args) -> int:
     table = ic_table(t, args.ic, cfg)
     _, (sa, sb) = word_similarity_detail(t, table, SimMeasureId(args.measure),
                                          args.word1, args.word2, args.lcs_mode)
-    members = dcs_of_pair(t, sa, sb).members
+    members = dcs_of_pair(t, sa, sb)
     if args.format == "json":
         _emit_json({"schema": bench.JSON_SCHEMA_VERSION, "word1": args.word1,
                     "word2": args.word2, "senses": [sa, sb], "dcs": list(members)})

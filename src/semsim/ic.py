@@ -12,7 +12,9 @@ of them:
 * Log ratios (numerator and denominator both logs of counts) are base
   free; the few genuinely base-sensitive logarithms use
   ``ICConfig.log_base_absolute`` (default 10).
-* ``seco``, ``zhou``, ``meng`` and ``proposed`` are bounded in [0, 1].
+* ``seco``, ``zhou``, ``meng`` and ``proposed`` are bounded in [0, 1];
+  ``proposed`` only for a log base of at least 2, so a smaller base
+  raises ``UnboundedIC`` for it.
   ``sanchez2011``, ``commonness2012`` and ``qingbo`` are unbounded; set
   ``ICConfig.normalize_unbounded`` to rescale their tables by the maximum
   before use in measures that require [0, 1] inputs.
@@ -26,7 +28,7 @@ from math import isfinite, log
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .errors import UnknownSynset
+from .errors import UnboundedIC, UnknownSynset
 from .taxonomy import NodeStats, SynsetId, Taxonomy
 
 
@@ -200,12 +202,14 @@ def _proposed(t: Taxonomy, cfg: ICConfig) -> Kernel:
       F2  1 - log_b((leaf_count*nmih/leaves_max)/subsumers + 1)
       F3  1 - log(inv_depth_sum + 1)/log(node_max)
     F2's argument stays below 1 because leaf_count <= leaves_max and
-    nmih < subsumers, so with base 10 the product stays in [0, 1].
+    nmih < subsumers, so F2 stays in [0, 1] exactly when log_b 2 <= 1.
     """
+    base = cfg.log_base_absolute
+    if base < 2.0:
+        raise UnboundedIC(f"proposed IC needs a log base of at least 2, got {base}")
     log_n = log(t.constants.node_max)
     log_deep = log(t.constants.deep_max + 1)
     leaves_max = t.constants.leaves_max
-    base = cfg.log_base_absolute
 
     def proposed(s: NodeStats) -> float:
         f1 = log(s.depth + 1) / log_deep
@@ -230,11 +234,11 @@ _KERNELS: dict[ICModelId, Callable[[Taxonomy, ICConfig], Kernel]] = {
 def _kernel(t: Taxonomy, model: ICModelId, cfg: ICConfig) -> Kernel:
     """The model's kernel with its per-taxonomy constants resolved.
 
-    A single-node taxonomy is all root, so every model gives it 0.
+    A single-node taxonomy is all root, so every model gives it 0; the
+    factory still runs, so its checks on ``cfg`` hold for every taxonomy.
     """
-    if t.constants.node_max == 1:
-        return _zero
-    return _KERNELS[model](t, cfg)
+    kernel = _KERNELS[model](t, cfg)
+    return _zero if t.constants.node_max == 1 else kernel
 
 
 def ic_value(t: Taxonomy, model: ICModelId, c: SynsetId,

@@ -3,13 +3,19 @@
 All operations are pure reads over a frozen taxonomy and an immutable IC
 table, so unbounded concurrent callers are safe.
 
-Two conventions deserve a note:
+Every measure is scored through one pair kernel, built once per call by
+``_pair_kernel`` after its checks on the measure, the table and the LCS
+rule.  Five measures are closed forms of IC(a), IC(b) and the IC of the
+least common subsumer (LCS), listed in ``_FORMULAS``; only ``proposed``
+needs the disjoint common subsumers.  Two conventions deserve a note:
 
-* ``lcs_ic`` defaults to the IC of the deepest common subsumer, where
-  depth means the longest path from the root (ties resolved by taking the
-  larger IC).  ``lcs_mode="max_ic"`` switches to the maximum IC over the
-  whole common-subsumer set instead; the two disagree on multiple
-  inheritance when an IC model is not monotone along ancestor chains.
+* The LCS rule picks one IC from the pair's common-subsumer set, which is
+  never empty because the root subsumes every node.  ``"max_depth"``
+  (the default) takes the IC of the deepest common subsumer, where depth
+  means the longest path from the root (ties resolved by taking the
+  larger IC); ``"max_ic"`` takes the maximum IC over the whole set.  The
+  two disagree on multiple inheritance when an IC model is not monotone
+  along ancestor chains.
 * The disjoint common subsumers of a pair are the hyponym-minimal
   elements of its common-subsumer set: the members that have no other
   common subsumer below them.  A greedy sweep in descending depth order
@@ -23,8 +29,8 @@ Two conventions deserve a note:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .errors import DegenerateTable, UnboundedIC, UnknownWord
 from .ic import ICTable
@@ -43,131 +49,89 @@ class SimMeasureId(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class DcsSet:
-    """Disjoint common subsumers of a pair, deepest first.
-
-    Members all subsume both pair elements and are pairwise unrelated by
-    the hyponym relation; the set is empty only when the pair shares no
-    subsumer at all.
-    """
-
-    members: tuple[SynsetId, ...]
-    for_pair: tuple[SynsetId, SynsetId]
+_LCS_MODES = ("max_depth", "max_ic")
 
 
-def common_subsumers(t: Taxonomy, a: SynsetId, b: SynsetId) -> frozenset[SynsetId]:
-    return t.subsumers(a) & t.subsumers(b)
-
-
-def lcs_ic(t: Taxonomy, ic: ICTable, a: SynsetId, b: SynsetId,
-           lcs_mode: str = "max_depth") -> float:
-    """IC of the least common subsumer; 0 when the pair shares none."""
-    cs = common_subsumers(t, a, b)
-    if not cs:
-        return 0.0
-    if lcs_mode == "max_ic":
-        return max(ic[c] for c in cs)
-    if lcs_mode != "max_depth":
-        raise ValueError(f"lcs_mode must be 'max_depth' or 'max_ic', got {lcs_mode!r}")
-    deepest = max(t.stats[c].depth_longest for c in cs)
-    return max(ic[c] for c in cs if t.stats[c].depth_longest == deepest)
-
-
-def dcs(t: Taxonomy, a: SynsetId, b: SynsetId) -> DcsSet:
+def dcs(t: Taxonomy, a: SynsetId, b: SynsetId) -> tuple[SynsetId, ...]:
     """Hyponym-minimal common subsumers of the pair, deepest first.
 
     Every strict ancestor of a common subsumer is itself a common
     subsumer, so the minimal elements are exactly the suspects that are
-    nobody's ancestor within the suspect set.
+    nobody's ancestor within the suspect set.  Members are pairwise
+    unrelated by the hyponym relation, and there is at least one.
     """
-    suspects = common_subsumers(t, a, b)
+    suspects = t.subsumers(a) & t.subsumers(b)
     ancestors_of_suspects: set[SynsetId] = set()
     for y in suspects:
         ancestors_of_suspects |= t.subsumers(y) - {y}
     kept = suspects - ancestors_of_suspects
-    members = tuple(sorted(kept, key=lambda c: (-t.stats[c].depth, c)))
-    return DcsSet(members=members, for_pair=(a, b))
+    return tuple(sorted(kept, key=lambda c: (-t.stats[c].depth, c)))
 
 
-def sim_resnik(t: Taxonomy, ic: ICTable, a: SynsetId, b: SynsetId,
-               lcs_mode: str = "max_depth") -> float:
-    return lcs_ic(t, ic, a, b, lcs_mode)
-
-
-def sim_lin(t: Taxonomy, ic: ICTable, a: SynsetId, b: SynsetId,
-            lcs_mode: str = "max_depth") -> float:
-    denom = ic[a] + ic[b]
-    if denom <= 0.0:
-        return 0.0
-    return 2.0 * lcs_ic(t, ic, a, b, lcs_mode) / denom
-
-
-def sim_jiang_conrath(t: Taxonomy, ic: ICTable, a: SynsetId, b: SynsetId,
-                      lcs_mode: str = "max_depth") -> float:
-    """IC distance mapped linearly onto similarity: 1 - distance/2.
-
-    Lands in [0, 1] when the IC table is bounded; unbounded tables keep
-    the affine relation to the distance, which correlation studies rely
-    on, but can go negative.
-    """
-    distance = ic[a] + ic[b] - 2.0 * lcs_ic(t, ic, a, b, lcs_mode)
-    return 1.0 - distance / 2.0
-
-
-def sim_faith(t: Taxonomy, ic: ICTable, a: SynsetId, b: SynsetId,
-              lcs_mode: str = "max_depth") -> float:
-    shared = lcs_ic(t, ic, a, b, lcs_mode)
-    denom = ic[a] + ic[b] - shared
-    if denom <= 0.0:
-        return 0.0
-    return shared / denom
-
-
-def sim_batet(t: Taxonomy, ic: ICTable, a: SynsetId, b: SynsetId,
-              lcs_mode: str = "max_depth") -> float:
-    """Log-scaled IC distance against twice the table maximum."""
-    if ic.max_ic <= 0.0:
-        raise DegenerateTable(f"{ic.model} table has max_ic 0")
-    distance = ic[a] + ic[b] - 2.0 * lcs_ic(t, ic, a, b, lcs_mode)
-    return -math.log((distance + 1.0) / (2.0 * ic.max_ic), ic.config.log_base_absolute)
-
-
-def sim_proposed(t: Taxonomy, ic: ICTable, a: SynsetId, b: SynsetId,
-                 lcs_mode: str = "max_depth") -> float:
-    """Mean over the disjoint common subsumers of their shared-IC ratios.
-
-    Each member d contributes IC(d)/(IC(a)+1) + IC(d)/(IC(b)+1); an empty
-    common-subsumer set scores 0.  Requires a bounded (or normalized)
-    table so the result stays in [0, 1].
-    """
-    if not ic.bounded:
-        raise UnboundedIC(
-            f"{ic.model} values exceed [0, 1]; normalize the table first")
-    members = dcs(t, a, b).members
-    if not members:
-        return 0.0
-    ia1 = ic[a] + 1.0
-    ib1 = ic[b] + 1.0
-    total = 0.0
-    for d in members:
-        total += ic[d] / ia1 + ic[d] / ib1
-    return total / len(members)
-
-
-_DISPATCH = {
-    SimMeasureId.RESNIK: sim_resnik,
-    SimMeasureId.LIN: sim_lin,
-    SimMeasureId.JIANG_CONRATH: sim_jiang_conrath,
-    SimMeasureId.FAITH: sim_faith,
-    SimMeasureId.BATET: sim_batet,
-    SimMeasureId.PROPOSED: sim_proposed,
+# The closed-form measures, as functions of IC(a), IC(b), IC(lcs) and the
+# table.  Jiang-Conrath maps the IC distance linearly onto 1 - distance/2,
+# which lands in [0, 1] for a bounded table; batet log-scales the distance
+# against twice the table maximum.
+_FORMULAS: dict[SimMeasureId, Callable[[float, float, float, ICTable], float]] = {
+    SimMeasureId.RESNIK: lambda ia, ib, lcs, ic: lcs,
+    SimMeasureId.LIN: lambda ia, ib, lcs, ic:
+        0.0 if ia + ib <= 0.0 else 2.0 * lcs / (ia + ib),
+    SimMeasureId.JIANG_CONRATH: lambda ia, ib, lcs, ic: 1.0 - (ia + ib - 2.0 * lcs) / 2.0,
+    SimMeasureId.FAITH: lambda ia, ib, lcs, ic:
+        0.0 if ia + ib - lcs <= 0.0 else lcs / (ia + ib - lcs),
+    SimMeasureId.BATET: lambda ia, ib, lcs, ic: -math.log(
+        (ia + ib - 2.0 * lcs + 1.0) / (2.0 * ic.max_ic), ic.config.log_base_absolute),
 }
+
+
+def _pair_kernel(t: Taxonomy, ic: ICTable, measure: SimMeasureId,
+                 lcs_mode: str) -> Callable[[SynsetId, SynsetId], float]:
+    """The measure as a function of one sense pair, with its checks done.
+
+    Raises ``ValueError`` for an unknown LCS rule, ``UnboundedIC`` for the
+    proposed measure on an unbounded table and ``DegenerateTable`` for
+    batet on a table whose maximum is 0.
+    """
+    if lcs_mode not in _LCS_MODES:
+        raise ValueError(f"lcs_mode must be 'max_depth' or 'max_ic', got {lcs_mode!r}")
+    if measure is SimMeasureId.PROPOSED:
+        if not ic.bounded:
+            raise UnboundedIC(
+                f"{ic.model} values exceed [0, 1]; normalize the table first")
+
+        def proposed(a: SynsetId, b: SynsetId) -> float:
+            # mean over the DCS members d of IC(d)/(IC(a)+1) + IC(d)/(IC(b)+1)
+            members = dcs(t, a, b)
+            ia1 = ic[a] + 1.0
+            ib1 = ic[b] + 1.0
+            total = 0.0
+            for d in members:
+                total += ic[d] / ia1 + ic[d] / ib1
+            return total / len(members)
+        return proposed
+
+    if measure is SimMeasureId.BATET and ic.max_ic <= 0.0:
+        raise DegenerateTable(f"{ic.model} table has max_ic 0")
+    formula = _FORMULAS[measure]
+    subsumers = t.subsumers
+    stats = t.stats
+    if lcs_mode == "max_ic":
+        def closed_form(a: SynsetId, b: SynsetId) -> float:
+            return formula(ic[a], ic[b], max(ic[c] for c in subsumers(a) & subsumers(b)), ic)
+        return closed_form
+
+    def closed_form(a: SynsetId, b: SynsetId) -> float:
+        cs = subsumers(a) & subsumers(b)
+        deepest = max(stats[c].depth_longest for c in cs)
+        lcs = max(ic[c] for c in cs if stats[c].depth_longest == deepest)
+        return formula(ic[a], ic[b], lcs, ic)
+    return closed_form
 
 
 def pair_similarity(t: Taxonomy, ic: ICTable, measure: SimMeasureId,
                     a: SynsetId, b: SynsetId, lcs_mode: str = "max_depth") -> float:
-    return _DISPATCH[SimMeasureId(measure)](t, ic, a, b, lcs_mode)
+    """The measure on one sense pair, under the LCS rule ``lcs_mode``."""
+    return _pair_kernel(t, ic, SimMeasureId(measure), lcs_mode)(a, b)
 
 
 def word_similarity(t: Taxonomy, ic: ICTable, measure: SimMeasureId,
@@ -193,12 +157,12 @@ def word_similarity_detail(
     senses2 = t.senses(word2)
     if not senses2:
         raise UnknownWord(word2)
-    fn = _DISPATCH[measure]
+    kernel = _pair_kernel(t, ic, measure, lcs_mode)
     best = -math.inf
     best_pair = (senses1[0], senses2[0])
     for a in senses1:
         for b in senses2:
-            value = fn(t, ic, a, b, lcs_mode)
+            value = kernel(a, b)
             if value > best:
                 best = value
                 best_pair = (a, b)

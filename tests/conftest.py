@@ -3,6 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from semsim.taxonomy import RawGraph, Taxonomy, freeze
 from semsim.wordnet import parse_wordnet
@@ -63,6 +64,19 @@ def chain() -> Taxonomy:
 def diamond() -> Taxonomy:
     # r -> {p1, p2}, both over l
     return build({"r": [], "p1": ["r"], "p2": ["r"], "l": ["p1", "p2"]})
+
+
+@st.composite
+def dags(draw, max_nodes=25):
+    """A random DAG: node i points at up to three earlier nodes, so extra
+    parentless nodes exercise freeze's synthetic root."""
+    n = draw(st.integers(1, max_nodes))
+    parents = {"n00": []}
+    for i in range(1, n):
+        earlier = [f"n{j:02d}" for j in range(i)]
+        parents[f"n{i:02d}"] = draw(st.lists(st.sampled_from(earlier), max_size=3,
+                                             unique=True))
+    return build(parents, depth_mode=draw(st.sampled_from(["min", "max"])))
 
 
 def random_raw_graph(rng: random.Random, max_nodes: int = 50,

@@ -115,6 +115,13 @@ class TestIc:
         assert code == 0 and len(rows) == 2
         assert rows == [by_synset[row.split("\t")[0]] for row in rows]
 
+    def test_proposed_below_base_two_exits_1(self, capsys):
+        source = ("--edgelist", str(FIXTURES / "shared_node_three_leaves.tsv"))
+        code, out, err = run(capsys, *source, "--log-base", "1.1", "ic", "--model",
+                             "proposed", "--all")
+        assert (code, out) == (1, "")
+        assert err == "semsim: proposed IC needs a log base of at least 2, got 1.1\n"
+
 
 class TestSim:
     def test_three_decimal_output(self, capsys):

@@ -107,7 +107,7 @@ def digest_lines():
 
     for _ in range(300):
         a, b = rng.choice(nodes), rng.choice(nodes)
-        yield f"dcs {a} {b} " + " ".join(dcs(t, a, b).members)
+        yield f"dcs {a} {b} " + " ".join(dcs(t, a, b))
 
     dataset = synthetic_dataset(rng)
     for cfg, mode in ((CONFIGS[0], "max_depth"), (CONFIGS[1], "max_ic")):

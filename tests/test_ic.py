@@ -11,11 +11,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semsim.errors import UnknownSynset
+from semsim.errors import UnboundedIC, UnknownSynset
 from semsim.ic import BOUNDED_MODELS, ICConfig, ICModelId, ic_table, ic_value
 from semsim.wordnet import parse_edgelist
 
-from conftest import FIXTURES, brute_closure, build
+from conftest import FIXTURES, brute_closure, build, dags
 
 LN = math.log
 ALL_MODELS = list(ICModelId)
@@ -157,6 +157,23 @@ class TestProposed:
         assert ic_value(chain, PROPOSED, "a") == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.327975, abs=1e-6)
 
+    def test_log_base_below_two_is_rejected(self):
+        # F2 = 1 - log_b(penalty + 1) with penalty < 1 goes negative once
+        # log_b 2 > 1: base 1.1 would give m and a the IC -1.237 and -0.655
+        t = freeze_fixture("shared_node_three_leaves.tsv")
+        assert len(t) == 8
+        for base in (1.1, 1.999):
+            cfg = ICConfig(log_base_absolute=base)
+            # a single-node taxonomy, all zeros, is refused alike
+            for taxonomy in (t, build({"only": []})):
+                with pytest.raises(UnboundedIC, match="log base of at least 2"):
+                    ic_table(taxonomy, PROPOSED, cfg)
+            for node in ("m", "a"):
+                with pytest.raises(UnboundedIC):
+                    ic_value(t, PROPOSED, node, cfg)
+        table = ic_table(t, PROPOSED, ICConfig(log_base_absolute=2.0))
+        assert all(0.0 <= v <= 1.0 for v in table.values.values())
+
     def test_multiple_inheritance_lowers_ic(self):
         # two nodes with identical depth and hyponym structure; the one with
         # two parents carries more shared (less specific) information
@@ -207,24 +224,15 @@ class TestTableBuilding:
         assert str(err.value) == "unknown synset: 'missing'"
 
 
-@st.composite
-def dags(draw, max_nodes=25):
-    """A random DAG: node i points at up to three earlier nodes, so extra
-    parentless nodes exercise freeze's synthetic root."""
-    n = draw(st.integers(1, max_nodes))
-    parents = {"n00": []}
-    for i in range(1, n):
-        earlier = [f"n{j:02d}" for j in range(i)]
-        parents[f"n{i:02d}"] = draw(st.lists(st.sampled_from(earlier), max_size=3,
-                                             unique=True))
-    return build(parents, depth_mode=draw(st.sampled_from(["min", "max"])))
-
-
-# proposed stays in [0, 1] only for a log base of at least 2: its F2 takes
-# log_b of a number below 2
 configs = st.just(ICConfig()) | st.builds(
-    ICConfig, zhou_k=st.floats(0.0, 1.0), log_base_absolute=st.floats(2.0, 100.0),
+    ICConfig, zhou_k=st.floats(0.0, 1.0),
+    log_base_absolute=st.floats(1.0, 100.0, exclude_min=True),
     leaf_self=st.booleans(), normalize_unbounded=st.booleans())
+
+
+def models_for(cfg):
+    """The models that accept ``cfg``: proposed refuses a log base below 2."""
+    return [m for m in ALL_MODELS if m is not PROPOSED or cfg.log_base_absolute >= 2.0]
 
 
 class TestModelInvariants:
@@ -232,7 +240,7 @@ class TestModelInvariants:
     @given(dags(), configs)
     def test_table_matches_single_node_value(self, t, cfg):
         # ic_table and ic_value share one kernel per model
-        for model in ALL_MODELS:
+        for model in models_for(cfg):
             table = ic_table(t, model, cfg)
             raw = {c: ic_value(t, model, c, cfg) for c in t.nodes}
             top = max(raw.values())
@@ -243,7 +251,7 @@ class TestModelInvariants:
     @settings(max_examples=60, deadline=None)
     @given(dags(), configs)
     def test_root_is_zero_for_every_model(self, t, cfg):
-        for model in ALL_MODELS:
+        for model in models_for(cfg):
             for v in (ic_value(t, model, t.root, cfg), ic_table(t, model, cfg)[t.root]):
                 assert v == 0.0 and math.copysign(1.0, v) == 1.0
 
@@ -251,7 +259,7 @@ class TestModelInvariants:
     @given(dags(), configs)
     def test_bounded_models_stay_in_unit_interval(self, t, cfg):
         # bounded models, and unbounded ones once normalized
-        for model in ALL_MODELS:
+        for model in models_for(cfg):
             table = ic_table(t, model, cfg)
             if table.bounded:
                 assert all(0.0 <= v <= 1.0 for v in table.values.values())

@@ -2,27 +2,31 @@
 
 The disjoint-common-subsumer operation is checked against a brute-force
 oracle (direct minimality test via hyponym closures) on 500 random DAGs,
-alongside the antichain and symmetry invariants.
+alongside the antichain invariant; hypothesis properties over drawn DAGs
+check every measure's symmetry under both LCS rules.
 """
 
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from semsim.bench import BenchmarkDataset, evaluate
 from semsim.errors import DegenerateTable, UnboundedIC, UnknownWord
 from semsim.ic import ICConfig, ICModelId, ICTable, ic_table
-from semsim.similarity import (SimMeasureId, common_subsumers, dcs, lcs_ic,
-                               pair_similarity, sim_batet, sim_faith,
-                               sim_jiang_conrath, sim_lin, sim_proposed,
-                               sim_resnik, word_similarity,
+from semsim.similarity import (SimMeasureId, dcs, pair_similarity, word_similarity,
                                word_similarity_detail)
 from semsim.taxonomy import freeze
 from semsim.wordnet import parse_edgelist
 
-from conftest import FIXTURES, brute_closure, build, random_taxonomy
+from conftest import FIXTURES, brute_closure, build, dags, random_taxonomy
 
 ALL_MEASURES = list(SimMeasureId)
+LCS_MODES = ("max_depth", "max_ic")
+(RESNIK, LIN, JIANG_CONRATH, FAITH, BATET,
+ PROPOSED) = (SimMeasureId.RESNIK, SimMeasureId.LIN, SimMeasureId.JIANG_CONRATH,
+              SimMeasureId.FAITH, SimMeasureId.BATET, SimMeasureId.PROPOSED)
 
 
 @pytest.fixture
@@ -37,10 +41,10 @@ def chain_ic(chain):
 
 class TestLcs:
     def test_self_pair_gives_own_ic(self, chain, chain_ic):
-        assert lcs_ic(chain, chain_ic, "a", "a") == chain_ic["a"]
+        assert pair_similarity(chain, chain_ic, RESNIK, "a", "a") == chain_ic["a"]
 
     def test_chain_pair(self, chain, chain_ic):
-        assert lcs_ic(chain, chain_ic, "a", "b") == chain_ic["a"]
+        assert pair_similarity(chain, chain_ic, RESNIK, "a", "b") == chain_ic["a"]
 
     def test_modes_disagree_on_nonmonotone_ic(self):
         # p is an ancestor of c but carries a higher hand-assigned IC;
@@ -49,24 +53,32 @@ class TestLcs:
         table = ICTable(model=ICModelId.PROPOSED,
                         values={"r": 0.0, "p": 0.9, "c": 0.4},
                         max_ic=0.9, normalized=False)
-        assert lcs_ic(t, table, "c", "c", "max_depth") == 0.4
-        assert lcs_ic(t, table, "c", "c", "max_ic") == 0.9
+        assert pair_similarity(t, table, RESNIK, "c", "c", "max_depth") == 0.4
+        assert pair_similarity(t, table, RESNIK, "c", "c", "max_ic") == 0.9
 
     def test_bad_mode_rejected(self, chain, chain_ic):
-        with pytest.raises(ValueError):
-            lcs_ic(chain, chain_ic, "a", "b", "bogus")
+        # every measure checks the rule, proposed included, which uses none
+        dataset = BenchmarkDataset(name="chain", pairs=(("a", "b", 1.0), ("b", "b", 2.0)),
+                                   scale=(1.0, 2.0))
+        for measure in ALL_MEASURES:
+            with pytest.raises(ValueError, match="lcs_mode"):
+                pair_similarity(chain, chain_ic, measure, "a", "b", "bogus")
+            with pytest.raises(ValueError, match="lcs_mode"):
+                word_similarity(chain, chain_ic, measure, "a", "b", "bogus")
+            with pytest.raises(ValueError, match="lcs_mode"):
+                evaluate(chain, dataset, chain_ic, measure, "bogus")
 
 
 class TestDcs:
     def test_self_pair_is_singleton(self, chain):
-        assert dcs(chain, "b", "b").members == ("b",)
+        assert dcs(chain, "b", "b") == ("b",)
 
     def test_chain_pair(self, chain):
-        assert dcs(chain, "a", "b").members == ("a",)
+        assert dcs(chain, "a", "b") == ("a",)
 
     def test_three_disjoint_subsumers_fixture(self):
         t = freeze(parse_edgelist(FIXTURES / "triple_dcs.tsv"))
-        members = dcs(t, "x", "y").members
+        members = dcs(t, "x", "y")
         assert len(members) == 3
         assert set(members) == {"d1", "d2", "d3"}
 
@@ -76,18 +88,18 @@ class TestDcs:
         t = build({"top": [], "p": ["top"], "x1": ["top"], "x2": ["x1"],
                    "x3": ["x2"], "c": ["p", "x3"]})
         assert t.depth("x3") > t.depth("c")
-        assert dcs(t, "c", "c").members == ("c",)
+        assert dcs(t, "c", "c") == ("c",)
 
     def test_members_ordered_deepest_first(self):
         t = build({"top": [], "m": ["top"], "d": ["m"],
                    "u": ["d", "top"], "v": ["d", "top"]})
-        members = dcs(t, "u", "v").members
+        members = dcs(t, "u", "v")
         assert members == ("d",)  # top is an ancestor of d, dropped
 
 
 def brute_dcs(t, a, b):
     """Minimality checked directly against the hyponym closure."""
-    cs = common_subsumers(t, a, b)
+    cs = t.subsumers(a) & t.subsumers(b)
     return {x for x in cs if not (brute_closure(t, x, "children") & cs)}
 
 
@@ -101,11 +113,11 @@ class TestDcsOracle:
             for _ in range(4):
                 a, b = rng.choice(ids), rng.choice(ids)
                 got = dcs(t, a, b)
-                assert set(got.members) == brute_dcs(t, a, b)
-                assert got.members == dcs(t, b, a).members  # symmetric
+                assert set(got) == brute_dcs(t, a, b)
+                assert got == dcs(t, b, a)  # symmetric
                 # antichain: no member subsumes another
-                for m in got.members:
-                    others = set(got.members) - {m}
+                for m in got:
+                    others = set(got) - {m}
                     assert not (t.subsumers(m) - {m}) & others
                 checked += 1
         assert checked == 2000
@@ -117,26 +129,27 @@ class TestMeasureFormulas:
         ia = (math.log(2) / math.log(3)) * (1 - math.log10(1.5)) \
             * (1 - math.log(1.5) / math.log(3))
         expected = ia / (ia + 1.0) + ia / 2.0
-        got = sim_proposed(chain, chain_ic, "a", "b")
+        got = pair_similarity(chain, chain_ic, PROPOSED, "a", "b")
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(0.410962, abs=1e-6)
 
     def test_identity_pairs(self, chain, chain_ic):
-        assert sim_lin(chain, chain_ic, "a", "a") == pytest.approx(1.0)
-        assert sim_jiang_conrath(chain, chain_ic, "a", "a") == pytest.approx(1.0)
-        assert sim_faith(chain, chain_ic, "a", "a") == pytest.approx(1.0)
+        assert pair_similarity(chain, chain_ic, LIN, "a", "a") == pytest.approx(1.0)
+        assert pair_similarity(chain, chain_ic, JIANG_CONRATH, "a", "a") == pytest.approx(1.0)
+        assert pair_similarity(chain, chain_ic, FAITH, "a", "a") == pytest.approx(1.0)
 
     def test_root_pair_conventions(self, chain, chain_ic):
         # IC of the root is 0: ratio measures fall back to 0
-        assert sim_resnik(chain, chain_ic, "r", "r") == 0.0
-        assert sim_lin(chain, chain_ic, "r", "r") == 0.0
-        assert sim_faith(chain, chain_ic, "r", "r") == 0.0
-        assert sim_jiang_conrath(chain, chain_ic, "r", "r") == pytest.approx(1.0)
+        assert pair_similarity(chain, chain_ic, RESNIK, "r", "r") == 0.0
+        assert pair_similarity(chain, chain_ic, LIN, "r", "r") == 0.0
+        assert pair_similarity(chain, chain_ic, FAITH, "r", "r") == 0.0
+        assert pair_similarity(chain, chain_ic, JIANG_CONRATH, "r", "r") == pytest.approx(1.0)
 
     def test_batet_at_max_ic_synset(self, chain, chain_ic):
         # both arguments the max-IC node: -log((1)/(2*max_ic))
         expected = math.log(2.0 * chain_ic.max_ic, 10)
-        assert sim_batet(chain, chain_ic, "b", "b") == pytest.approx(expected, rel=1e-12)
+        assert pair_similarity(chain, chain_ic, BATET, "b", "b") == pytest.approx(
+            expected, rel=1e-12)
 
     def test_batet_base_change_is_rescaling(self, chain):
         # hyponym-ratio IC is base free, so flipping the config base moves
@@ -145,40 +158,56 @@ class TestMeasureFormulas:
         t2 = ic_table(chain, ICModelId.SECO, ICConfig(log_base_absolute=2))
         assert dict(t2.values) == dict(t10.values)
         for x, y in [("a", "b"), ("b", "b"), ("a", "a")]:
-            assert sim_batet(chain, t2, x, y) == pytest.approx(
-                sim_batet(chain, t10, x, y) * math.log2(10), rel=1e-12)
+            assert pair_similarity(chain, t2, BATET, x, y) == pytest.approx(
+                pair_similarity(chain, t10, BATET, x, y) * math.log2(10), rel=1e-12)
 
     def test_batet_degenerate_table(self):
         t = build({"only": []})
         table = ic_table(t, ICModelId.SECO)
         with pytest.raises(DegenerateTable):
-            sim_batet(t, table, "only", "only")
+            pair_similarity(t, table, BATET, "only", "only")
 
     def test_proposed_rejects_unbounded_table(self, chain):
         qingbo = ic_table(chain, ICModelId.QINGBO)
         with pytest.raises(UnboundedIC):
-            sim_proposed(chain, qingbo, "a", "b")
+            pair_similarity(chain, qingbo, PROPOSED, "a", "b")
         normalized = ic_table(chain, ICModelId.QINGBO, ICConfig(normalize_unbounded=True))
-        assert 0.0 <= sim_proposed(chain, normalized, "a", "b") <= 1.0
+        assert 0.0 <= pair_similarity(chain, normalized, PROPOSED, "a", "b") <= 1.0
 
 
 class TestMeasureProperties:
-    def test_symmetry_is_exact(self):
-        rng = random.Random(53)
-        for _ in range(10):
-            t = random_taxonomy(rng, max_nodes=30)
-            tables = {m: ic_table(t, m, ICConfig(normalize_unbounded=True))
-                      for m in ICModelId}
-            ids = sorted(t.nodes)
-            for _ in range(10):
-                a, b = rng.choice(ids), rng.choice(ids)
-                for measure in ALL_MEASURES:
-                    table = tables[ICModelId.PROPOSED] \
-                        if measure is not SimMeasureId.BATET else tables[ICModelId.SANCHEZ2011]
-                    if table.max_ic == 0.0:
-                        continue
-                    assert pair_similarity(t, table, measure, a, b) == \
-                        pair_similarity(t, table, measure, b, a)
+    @settings(max_examples=60, deadline=None)
+    @given(dags(), st.sampled_from(list(ICModelId)), st.data())
+    def test_symmetry_is_exact(self, t, model, data):
+        table = ic_table(t, model, ICConfig(normalize_unbounded=True))
+        ids = sorted(t.nodes)
+        for _ in range(5):
+            a, b = data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids))
+            for measure in ALL_MEASURES:
+                # batet needs max_ic > 0; an all-zero unbounded table stays unnormalized
+                if table.max_ic == 0.0 and measure in (BATET, PROPOSED):
+                    continue
+                for mode in LCS_MODES:
+                    assert pair_similarity(t, table, measure, a, b, mode) == \
+                        pair_similarity(t, table, measure, b, a, mode)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dags(), st.sampled_from(list(ICModelId)))
+    def test_resnik_at_most_max_ic(self, t, model):
+        # the LCS is a node of the table, under either rule
+        table = ic_table(t, model)
+        for a in t.nodes:
+            for b in t.nodes:
+                for mode in LCS_MODES:
+                    assert pair_similarity(t, table, RESNIK, a, b, mode) <= table.max_ic
+
+    @settings(max_examples=60, deadline=None)
+    @given(dags())
+    def test_dcs_never_empty(self, t):
+        # the root subsumes every node, so some common subsumer is minimal
+        for a in t.nodes:
+            for b in t.nodes:
+                assert dcs(t, a, b)
 
     def test_monotone_ic_bounds(self):
         # hyponym-count IC never increases toward the root, so the shared
@@ -190,11 +219,11 @@ class TestMeasureProperties:
             ids = sorted(t.nodes)
             for _ in range(10):
                 a, b = rng.choice(ids), rng.choice(ids)
-                shared = lcs_ic(t, table, a, b)
+                shared = pair_similarity(t, table, RESNIK, a, b)
                 assert shared <= min(table[a], table[b]) + 1e-12
-                assert -1e-12 <= sim_lin(t, table, a, b) <= 1 + 1e-12
-                assert -1e-12 <= sim_faith(t, table, a, b) <= 1 + 1e-12
-                assert -1e-12 <= sim_proposed(t, table, a, b) <= 1 + 1e-12
+                assert -1e-12 <= pair_similarity(t, table, LIN, a, b) <= 1 + 1e-12
+                assert -1e-12 <= pair_similarity(t, table, FAITH, a, b) <= 1 + 1e-12
+                assert -1e-12 <= pair_similarity(t, table, PROPOSED, a, b) <= 1 + 1e-12
 
     def test_resnik_depends_only_on_common_subsumers(self):
         # grafting a new leaf under b adds no common subsumer of (a, b);
@@ -207,7 +236,8 @@ class TestMeasureProperties:
                                values={n: values[n] for n in t.nodes},
                                max_ic=max(values[n] for n in t.nodes),
                                normalized=False)
-        assert sim_resnik(t1, mk(t1), "a", "c") == sim_resnik(t2, mk(t2), "a", "c")
+        assert pair_similarity(t1, mk(t1), RESNIK, "a", "c") == \
+            pair_similarity(t2, mk(t2), RESNIK, "a", "c")
 
     def test_input_permutation_changes_nothing(self):
         rng = random.Random(61)
@@ -221,7 +251,7 @@ class TestMeasureProperties:
         ids = sorted(t.nodes)
         for _ in range(25):
             a, b = rng.choice(ids), rng.choice(ids)
-            assert dcs(t, a, b).members == dcs(t2, a, b).members
+            assert dcs(t, a, b) == dcs(t2, a, b)
             for measure in (SimMeasureId.RESNIK, SimMeasureId.PROPOSED):
                 assert pair_similarity(t, table1, measure, a, b) == \
                     pair_similarity(t2, table2, measure, a, b)

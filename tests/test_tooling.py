@@ -1,0 +1,34 @@
+"""The runtime stays stdlib-only.
+
+Every import in ``src/semsim`` is relative or names a standard-library
+module, and ``pyproject.toml`` declares no runtime dependency; numpy,
+scipy and hypothesis are for the tests alone.
+"""
+
+import ast
+import re
+import sys
+
+from conftest import REPO
+
+
+def test_package_imports_only_the_standard_library():
+    sources = sorted((REPO / "src" / "semsim").glob("*.py"))
+    assert sources
+    foreign = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert not foreign
+
+
+def test_pyproject_declares_no_dependencies():
+    text = (REPO / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
