@@ -4,9 +4,10 @@ Seven models are provided.  Each is written once, as a kernel factory:
 given a taxonomy and an :class:`ICConfig`, it resolves the per-table
 constants once (the logs of node_max, deep_max+1 and leaves_max+1, zhou_k,
 the log base, the root's commonness) and returns a pure function of one
-node's cached :class:`NodeStats`.  :func:`ic_table` maps that kernel over
-every node; :func:`ic_value` applies it to one.  Conventions shared by all
-of them:
+node's cached :class:`NodeStats`.  :func:`ic_table` resolves that kernel
+and returns a lazy :class:`ICTable`: a node's IC is computed on its first
+read and kept, so a query pays only for the nodes it reads.  Conventions
+shared by all of them:
 
 * IC of the root is exactly 0; a single-node taxonomy yields 0 everywhere.
 * Log ratios (numerator and denominator both logs of counts) are base
@@ -22,11 +23,11 @@ of them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from math import isfinite, log
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Any, Callable, Mapping
 
 from .errors import UnboundedIC, UnknownSynset
 from .taxonomy import NodeStats, SynsetId, Taxonomy
@@ -73,21 +74,52 @@ class ICConfig:
             raise ValueError(f"log base must be finite and exceed 1, got {base}")
 
 
-@dataclass(frozen=True)
 class ICTable:
-    """Per-synset IC values for one model, plus the table maximum."""
+    """IC values of one model, each computed on its first read and then kept.
 
-    model: ICModelId
-    values: Mapping[SynsetId, float]
-    max_ic: float
-    normalized: bool
-    config: ICConfig = field(default_factory=ICConfig)
+    ``stats`` maps every synset id to what ``kernel`` reads: the taxonomy's
+    :class:`NodeStats` for a table from :func:`ic_table`, or the values
+    themselves with ``float`` as the kernel for a table of explicit values.
+    A read of an id not yet computed runs the kernel on that one node and
+    stores the result; a later read is one dict lookup.  An unknown id
+    raises ``UnknownSynset`` and stores nothing.  Two threads that fill the
+    same node store the same float, so the table is safe to share.
+
+    ``values`` is a read-only view of the values computed so far, in the
+    order they were first read.  ``max_ic`` costs one kernel pass over
+    every node on its first read, which stores no value, and is kept from
+    then on; of the measures only batet reads it.
+    """
+
+    def __init__(self, model: ICModelId, stats: Mapping[SynsetId, Any],
+                 kernel: Callable[[Any], float], normalized: bool = False,
+                 config: ICConfig = ICConfig()):
+        self.model = model
+        self.normalized = normalized
+        self.config = config
+        self._stats = stats
+        self._kernel = kernel
+        self._values: dict[SynsetId, float] = {}
+        self.values: Mapping[SynsetId, float] = MappingProxyType(self._values)
+        self._max_ic: float | None = None
 
     def __getitem__(self, synset_id: SynsetId) -> float:
         try:
-            return self.values[synset_id]
+            return self._values[synset_id]
+        except KeyError:
+            pass
+        try:
+            s = self._stats[synset_id]
         except KeyError:
             raise UnknownSynset(synset_id) from None
+        value = self._values[synset_id] = self._kernel(s)
+        return value
+
+    @property
+    def max_ic(self) -> float:
+        if self._max_ic is None:
+            self._max_ic = max(map(self._kernel, self._stats.values()))
+        return self._max_ic
 
     @property
     def bounded(self) -> bool:
@@ -241,31 +273,22 @@ def _kernel(t: Taxonomy, model: ICModelId, cfg: ICConfig) -> Kernel:
     return _zero if t.constants.node_max == 1 else kernel
 
 
-def ic_value(t: Taxonomy, model: ICModelId, c: SynsetId,
-             cfg: ICConfig = ICConfig()) -> float:
-    """IC of one node, from the kernel that :func:`ic_table` uses (never normalized)."""
-    kernel = _kernel(t, ICModelId(model), cfg)
-    try:
-        s = t.stats[c]
-    except KeyError:
-        raise UnknownSynset(c) from None
-    return kernel(s)
-
-
 def ic_table(t: Taxonomy, model: ICModelId, cfg: ICConfig = ICConfig()) -> ICTable:
-    """Compute IC for every synset; optionally rescale unbounded models.
+    """The model's IC table over ``t``, optionally rescaled into [0, 1].
 
-    The returned table is immutable and safe to share across threads.
+    The checks on ``cfg`` run here, and so does the one full kernel pass
+    that ``normalize_unbounded`` needs for an unbounded model's maximum;
+    every other value is computed when it is first read.  An all-zero
+    unbounded table counts as normalized as it is.
     """
     model = ICModelId(model)
     kernel = _kernel(t, model, cfg)
-    values = {c: kernel(s) for c, s in t.stats.items()}
-    max_ic = max(values.values())
-    normalized = False
-    if cfg.normalize_unbounded and model not in BOUNDED_MODELS and max_ic > 0:
-        values = {c: v / max_ic for c, v in values.items()}
-        max_ic = 1.0
-        normalized = True
-    return ICTable(model=model, values=MappingProxyType(values), max_ic=max_ic,
-                   normalized=normalized, config=cfg)
+    normalized = cfg.normalize_unbounded and model not in BOUNDED_MODELS
+    if normalized:
+        top = max(map(kernel, t.stats.values()))
+        if top > 0.0:
+            raw = kernel
 
+            def kernel(s: NodeStats) -> float:
+                return raw(s) / top
+    return ICTable(model, t.stats, kernel, normalized, cfg)

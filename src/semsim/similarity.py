@@ -1,7 +1,8 @@
 """IC-based similarity measures, common-subsumer machinery and word lookup.
 
-All operations are pure reads over a frozen taxonomy and an immutable IC
-table, so unbounded concurrent callers are safe.
+All operations are reads over a frozen taxonomy and an IC table, whose
+lazy fills are idempotent, so unbounded concurrent callers are safe.  A
+score fills only the IC of the two senses and of nodes that subsume both.
 
 Every measure is scored through one pair kernel, built once per call by
 ``_pair_kernel`` after its checks on the measure, the table and the LCS
@@ -68,19 +69,17 @@ def dcs(t: Taxonomy, a: SynsetId, b: SynsetId) -> tuple[SynsetId, ...]:
     return tuple(sorted(kept, key=lambda c: (-t.stats[c].depth, c)))
 
 
-# The closed-form measures, as functions of IC(a), IC(b), IC(lcs) and the
-# table.  Jiang-Conrath maps the IC distance linearly onto 1 - distance/2,
-# which lands in [0, 1] for a bounded table; batet log-scales the distance
-# against twice the table maximum.
-_FORMULAS: dict[SimMeasureId, Callable[[float, float, float, ICTable], float]] = {
-    SimMeasureId.RESNIK: lambda ia, ib, lcs, ic: lcs,
-    SimMeasureId.LIN: lambda ia, ib, lcs, ic:
+# Four closed-form measures, as functions of IC(a), IC(b) and IC(lcs).
+# Jiang-Conrath maps the IC distance linearly onto 1 - distance/2, which
+# lands in [0, 1] for a bounded table.  Batet, which also needs the table
+# maximum, is built in _pair_kernel.
+_FORMULAS: dict[SimMeasureId, Callable[[float, float, float], float]] = {
+    SimMeasureId.RESNIK: lambda ia, ib, lcs: lcs,
+    SimMeasureId.LIN: lambda ia, ib, lcs:
         0.0 if ia + ib <= 0.0 else 2.0 * lcs / (ia + ib),
-    SimMeasureId.JIANG_CONRATH: lambda ia, ib, lcs, ic: 1.0 - (ia + ib - 2.0 * lcs) / 2.0,
-    SimMeasureId.FAITH: lambda ia, ib, lcs, ic:
+    SimMeasureId.JIANG_CONRATH: lambda ia, ib, lcs: 1.0 - (ia + ib - 2.0 * lcs) / 2.0,
+    SimMeasureId.FAITH: lambda ia, ib, lcs:
         0.0 if ia + ib - lcs <= 0.0 else lcs / (ia + ib - lcs),
-    SimMeasureId.BATET: lambda ia, ib, lcs, ic: -math.log(
-        (ia + ib - 2.0 * lcs + 1.0) / (2.0 * ic.max_ic), ic.config.log_base_absolute),
 }
 
 
@@ -110,21 +109,30 @@ def _pair_kernel(t: Taxonomy, ic: ICTable, measure: SimMeasureId,
             return total / len(members)
         return proposed
 
-    if measure is SimMeasureId.BATET and ic.max_ic <= 0.0:
-        raise DegenerateTable(f"{ic.model} table has max_ic 0")
-    formula = _FORMULAS[measure]
+    if measure is SimMeasureId.BATET:
+        # log-scales the IC distance against twice the table maximum, which
+        # a lazy table computes in one full pass on its first read
+        max_ic = ic.max_ic
+        if max_ic <= 0.0:
+            raise DegenerateTable(f"{ic.model} table has max_ic 0")
+        base = ic.config.log_base_absolute
+
+        def formula(ia: float, ib: float, lcs: float) -> float:
+            return -math.log((ia + ib - 2.0 * lcs + 1.0) / (2.0 * max_ic), base)
+    else:
+        formula = _FORMULAS[measure]
     subsumers = t.subsumers
     stats = t.stats
     if lcs_mode == "max_ic":
         def closed_form(a: SynsetId, b: SynsetId) -> float:
-            return formula(ic[a], ic[b], max(ic[c] for c in subsumers(a) & subsumers(b)), ic)
+            return formula(ic[a], ic[b], max(ic[c] for c in subsumers(a) & subsumers(b)))
         return closed_form
 
     def closed_form(a: SynsetId, b: SynsetId) -> float:
         cs = subsumers(a) & subsumers(b)
         deepest = max(stats[c].depth_longest for c in cs)
         lcs = max(ic[c] for c in cs if stats[c].depth_longest == deepest)
-        return formula(ic[a], ic[b], lcs, ic)
+        return formula(ic[a], ic[b], lcs)
     return closed_form
 
 

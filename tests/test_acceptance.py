@@ -13,7 +13,7 @@ import pytest
 
 from semsim.bench import evaluate, load_dataset, pearson
 from semsim.errors import ZeroVariance
-from semsim.ic import BOUNDED_MODELS, ICModelId, ic_table, ic_value
+from semsim.ic import BOUNDED_MODELS, ICModelId, ic_table
 from semsim.similarity import SimMeasureId, dcs, word_similarity
 from semsim.taxonomy import freeze
 from semsim.wordnet import parse_edgelist, parse_wordnet
@@ -217,12 +217,12 @@ def test_criterion_5b_ic_invariants(wn):
     for m, table in tables.items():
         assert table[wn.root] == pytest.approx(0.0, abs=1e-12), str(m)
     for m in BOUNDED_MODELS:
-        values = tables[m].values
-        assert all(-1e-9 <= v <= 1.0 + 1e-9 for v in values.values()), str(m)
+        table = tables[m]
+        assert all(-1e-9 <= table[c] <= 1.0 + 1e-9 for c in wn.nodes), str(m)
 
     proposed = tables[ICModelId.PROPOSED]
     deep_max = wn.constants.deep_max
-    ones = [c for c, v in proposed.values.items() if v >= 1.0 - 1e-9]
+    ones = [c for c in wn.nodes if proposed[c] >= 1.0 - 1e-9]
     assert ones, "at least one maximally specific node expected"
     for c in ones:
         assert wn.stats[c].hypo_count == 0
@@ -244,16 +244,15 @@ def test_criterion_5b_ic_invariants(wn):
 
 def test_criterion_5c_fixture_discrimination():
     t1 = freeze(parse_edgelist(FIXTURES / "multi_inheritance_pair.tsv"))
-    meng_equal = ic_value(t1, ICModelId.MENG, "single") == pytest.approx(
-        ic_value(t1, ICModelId.MENG, "multi"), rel=1e-12)
-    proposed_separates_1 = abs(ic_value(t1, ICModelId.PROPOSED, "single")
-                               - ic_value(t1, ICModelId.PROPOSED, "multi")) > 1e-6
+    meng, proposed = ic_table(t1, ICModelId.MENG), ic_table(t1, ICModelId.PROPOSED)
+    meng_equal = meng["single"] == pytest.approx(meng["multi"], rel=1e-12)
+    proposed_separates_1 = abs(proposed["single"] - proposed["multi"]) > 1e-6
 
     t2 = freeze(parse_edgelist(FIXTURES / "depth_pair_equal_leaf_subsumers.tsv"))
-    commonness_equal = ic_value(t2, ICModelId.COMMONNESS2012, "shallow") == pytest.approx(
-        ic_value(t2, ICModelId.COMMONNESS2012, "deep"), rel=1e-12)
-    proposed_separates_2 = abs(ic_value(t2, ICModelId.PROPOSED, "shallow")
-                               - ic_value(t2, ICModelId.PROPOSED, "deep")) > 1e-6
+    commonness = ic_table(t2, ICModelId.COMMONNESS2012)
+    proposed = ic_table(t2, ICModelId.PROPOSED)
+    commonness_equal = commonness["shallow"] == pytest.approx(commonness["deep"], rel=1e-12)
+    proposed_separates_2 = abs(proposed["shallow"] - proposed["deep"]) > 1e-6
 
     ok = meng_equal and proposed_separates_1 and commonness_equal and proposed_separates_2
     assert report("criterion-5c fixture discrimination", ok,

@@ -143,6 +143,15 @@ class TestSim:
         assert code == 0
         assert obj["schema"] == 1 and 0 <= obj["similarity"] <= 1
 
+    def test_all_zero_table_counts_as_normalized(self, capsys):
+        # commonness2012 gives 0 to every node of the chain: proposed takes
+        # the table as normalized, while batet still needs a maximum above 0
+        source = (*CHAIN, "--normalize-unbounded", "sim", "--ic", "commonness2012")
+        assert run(capsys, *source, "--measure", "proposed", "leaf", "mid") == \
+            (0, "0.000\n", "")
+        assert run(capsys, *source, "--measure", "batet", "leaf", "mid") == \
+            (1, "", "semsim: commonness2012 table has max_ic 0\n")
+
 
 class TestDcs:
     def test_three_member_set(self, capsys):

@@ -1,4 +1,5 @@
-"""Per-model IC values on hand-evaluated fixtures, plus model invariants.
+"""Per-model IC values on hand-evaluated fixtures, model invariants, and
+the lazy table's fill-on-read contract.
 
 Expected numbers are written as the literal arithmetic of each formula
 applied to counts read off the fixture by hand, so they stay independent
@@ -7,12 +8,17 @@ of the implementation path through the cached statistics.
 
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from semsim.errors import UnboundedIC, UnknownSynset
-from semsim.ic import BOUNDED_MODELS, ICConfig, ICModelId, ic_table, ic_value
+from semsim.ic import ICConfig, ICModelId, ic_table
+from semsim.similarity import SimMeasureId, word_similarity
+from semsim.taxonomy import Taxonomy
 from semsim.wordnet import parse_edgelist
 
 from conftest import FIXTURES, brute_closure, build, dags
@@ -32,32 +38,32 @@ def chain():
 
 class TestSeco:
     def test_root_zero(self, chain):
-        assert ic_value(chain, SECO, "r") == 0.0
+        assert ic_table(chain, SECO)["r"] == 0.0
 
     def test_chain_mid(self, chain):
         # hypo(a)=1, node_max=3
-        assert ic_value(chain, SECO, "a") == pytest.approx(1 - LN(2) / LN(3), rel=1e-12)
+        assert ic_table(chain, SECO)["a"] == pytest.approx(1 - LN(2) / LN(3), rel=1e-12)
 
     def test_chain_leaf_is_one(self, chain):
-        assert ic_value(chain, SECO, "b") == pytest.approx(1.0)
+        assert ic_table(chain, SECO)["b"] == pytest.approx(1.0)
 
 
 class TestZhou:
     def test_root_zero(self, chain):
-        assert ic_value(chain, ZHOU, "r") == 0.0
+        assert ic_table(chain, ZHOU)["r"] == 0.0
 
     def test_chain_leaf(self, chain):
-        assert ic_value(chain, ZHOU, "b", ICConfig(zhou_k=0.5)) == pytest.approx(1.0)
+        assert ic_table(chain, ZHOU, ICConfig(zhou_k=0.5))["b"] == pytest.approx(1.0)
 
     def test_chain_mid(self, chain):
         # 0.5*(1 - ln2/ln3) + 0.5*(ln2/ln3)
-        assert ic_value(chain, ZHOU, "a", ICConfig(zhou_k=0.5)) == pytest.approx(
+        assert ic_table(chain, ZHOU, ICConfig(zhou_k=0.5))["a"] == pytest.approx(
             0.5, rel=1e-12)
 
     def test_k_weighting(self, chain):
-        assert ic_value(chain, ZHOU, "a", ICConfig(zhou_k=1.0)) == pytest.approx(
+        assert ic_table(chain, ZHOU, ICConfig(zhou_k=1.0))["a"] == pytest.approx(
             1 - LN(2) / LN(3), rel=1e-12)
-        assert ic_value(chain, ZHOU, "a", ICConfig(zhou_k=0.0)) == pytest.approx(
+        assert ic_table(chain, ZHOU, ICConfig(zhou_k=0.0))["a"] == pytest.approx(
             LN(2) / LN(3), rel=1e-12)
 
     def test_k_validated(self):
@@ -67,26 +73,27 @@ class TestZhou:
 
 class TestSanchez2011:
     def test_chain_root_zero(self, chain):
-        assert ic_value(chain, SANCHEZ2011, "r") == 0.0
+        assert ic_table(chain, SANCHEZ2011)["r"] == 0.0
 
     def test_chain_mid_natural_log(self, chain):
         # leaves(a)=1, subsumers(a)=2, leaves_max=1, base e
         cfg = ICConfig(log_base_absolute=math.e)
-        assert ic_value(chain, SANCHEZ2011, "a", cfg) == pytest.approx(-LN(1.5 / 2), rel=1e-12)
+        assert ic_table(chain, SANCHEZ2011, cfg)["a"] == pytest.approx(-LN(1.5 / 2), rel=1e-12)
 
     def test_base_sensitivity(self, chain):
-        ten = ic_value(chain, SANCHEZ2011, "a", ICConfig(log_base_absolute=10))
-        nat = ic_value(chain, SANCHEZ2011, "a", ICConfig(log_base_absolute=math.e))
+        ten = ic_table(chain, SANCHEZ2011, ICConfig(log_base_absolute=10))["a"]
+        nat = ic_table(chain, SANCHEZ2011, ICConfig(log_base_absolute=math.e))["a"]
         assert nat == pytest.approx(ten * LN(10), rel=1e-12)
 
     def test_nonnegative_everywhere(self):
         t = build({"r": [], "a": ["r"], "b": ["r"], "c": ["a", "b"], "d": ["a"]})
+        table = ic_table(t, SANCHEZ2011)
         for node in t.nodes:
-            assert ic_value(t, SANCHEZ2011, node) >= 0.0
+            assert table[node] >= 0.0
 
     def test_leaf_self_flag(self, chain):
-        literal = ic_value(chain, SANCHEZ2011, "b", ICConfig(leaf_self=False))
-        flipped = ic_value(chain, SANCHEZ2011, "b", ICConfig(leaf_self=True))
+        literal = ic_table(chain, SANCHEZ2011, ICConfig(leaf_self=False))["b"]
+        flipped = ic_table(chain, SANCHEZ2011, ICConfig(leaf_self=True))["b"]
         # counting the leaf as its own leaf lowers the leaf's IC
         assert flipped < literal
 
@@ -98,11 +105,11 @@ class TestSanchez2011:
 
 class TestCommonness2012:
     def test_root_zero(self, chain):
-        assert ic_value(chain, COMMONNESS2012, "r") == 0.0
+        assert ic_table(chain, COMMONNESS2012)["r"] == 0.0
 
     def test_single_leaf_branch_scores_zero(self, chain):
         # a subsumes the only leaf, so its commonness equals the root's
-        assert ic_value(chain, COMMONNESS2012, "a") == 0.0
+        assert ic_table(chain, COMMONNESS2012)["a"] == 0.0
 
     def test_small_tree(self):
         # r -> a, r -> b(leaf); a -> l1, l2
@@ -110,51 +117,51 @@ class TestCommonness2012:
         t = build({"r": [], "a": ["r"], "b": ["r"], "l1": ["a"], "l2": ["a"]})
         cfg = ICConfig(log_base_absolute=math.e)
         expected = -LN((2 / 3) / (7 / 6))
-        assert ic_value(t, COMMONNESS2012, "a", cfg) == pytest.approx(expected, rel=1e-12)
+        assert ic_table(t, COMMONNESS2012, cfg)["a"] == pytest.approx(expected, rel=1e-12)
 
 
 class TestMeng:
     def test_root_zero(self, chain):
-        assert ic_value(chain, MENG, "r") == 0.0
+        assert ic_table(chain, MENG)["r"] == 0.0
 
     def test_depth_one_node_scores_zero(self, chain):
         # the depth factor is log(1)/log(deep_max) = 0
-        assert ic_value(chain, MENG, "a") == 0.0
+        assert ic_table(chain, MENG)["a"] == 0.0
 
     def test_chain_leaf_is_one(self, chain):
-        assert ic_value(chain, MENG, "b") == pytest.approx(1.0)
+        assert ic_table(chain, MENG)["b"] == pytest.approx(1.0)
 
     def test_depth_weighted_hyponym_mass(self):
         # r -> a -> b -> c: meng(b) = (ln2/ln3) * (1 - ln(1/3 + 1)/ln4)
         t = build({"r": [], "a": ["r"], "b": ["a"], "c": ["b"]})
         expected = (LN(2) / LN(3)) * (1 - LN(4 / 3) / LN(4))
-        assert ic_value(t, MENG, "b") == pytest.approx(expected, rel=1e-12)
+        assert ic_table(t, MENG)["b"] == pytest.approx(expected, rel=1e-12)
 
 
 class TestQingbo:
     def test_root_zero(self, chain):
-        assert ic_value(chain, QINGBO, "r") == 0.0
+        assert ic_table(chain, QINGBO)["r"] == 0.0
 
     def test_chain_leaf_exceeds_one(self, chain):
         # f_depth=1, f_leaves=0, f_hypernyms=ln3/ln3: unbounded model
-        assert ic_value(chain, QINGBO, "b") == pytest.approx(2.0, rel=1e-12)
+        assert ic_table(chain, QINGBO)["b"] == pytest.approx(2.0, rel=1e-12)
 
     def test_chain_mid(self, chain):
         # f_leaves=1 cancels the depth term; hypernyms(a)=1
-        assert ic_value(chain, QINGBO, "a") == pytest.approx(LN(2) / LN(3), rel=1e-12)
+        assert ic_table(chain, QINGBO)["a"] == pytest.approx(LN(2) / LN(3), rel=1e-12)
 
 
 class TestProposed:
     def test_root_zero(self, chain):
-        assert ic_value(chain, PROPOSED, "r") == 0.0
+        assert ic_table(chain, PROPOSED)["r"] == 0.0
 
     def test_chain_leaf_is_one(self, chain):
-        assert ic_value(chain, PROPOSED, "b") == pytest.approx(1.0)
+        assert ic_table(chain, PROPOSED)["b"] == pytest.approx(1.0)
 
     def test_chain_mid_base_ten(self, chain):
         # depth 1/deep_max 2; leaves=1, nmih=1, subsumers=2; hyponym b at depth 2
         expected = (LN(2) / LN(3)) * (1 - math.log10(1.5)) * (1 - LN(1.5) / LN(3))
-        assert ic_value(chain, PROPOSED, "a") == pytest.approx(expected, rel=1e-12)
+        assert ic_table(chain, PROPOSED)["a"] == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.327975, abs=1e-6)
 
     def test_log_base_below_two_is_rejected(self):
@@ -168,17 +175,14 @@ class TestProposed:
             for taxonomy in (t, build({"only": []})):
                 with pytest.raises(UnboundedIC, match="log base of at least 2"):
                     ic_table(taxonomy, PROPOSED, cfg)
-            for node in ("m", "a"):
-                with pytest.raises(UnboundedIC):
-                    ic_value(t, PROPOSED, node, cfg)
         table = ic_table(t, PROPOSED, ICConfig(log_base_absolute=2.0))
-        assert all(0.0 <= v <= 1.0 for v in table.values.values())
+        assert all(0.0 <= table[c] <= 1.0 for c in t.nodes)
 
     def test_multiple_inheritance_lowers_ic(self):
         # two nodes with identical depth and hyponym structure; the one with
         # two parents carries more shared (less specific) information
-        t = freeze_fixture("multi_inheritance_pair.tsv")
-        assert ic_value(t, PROPOSED, "multi") < ic_value(t, PROPOSED, "single")
+        table = ic_table(freeze_fixture("multi_inheritance_pair.tsv"), PROPOSED)
+        assert table["multi"] < table["single"]
 
 
 def freeze_fixture(name):
@@ -215,13 +219,13 @@ class TestTableBuilding:
         assert not table.normalized
 
     def test_unknown_synset(self, chain):
-        table = ic_table(chain, ICModelId.SECO)
-        with pytest.raises(UnknownSynset):
-            table["missing"]
-        with pytest.raises(UnknownSynset) as err:
-            ic_value(chain, ICModelId.PROPOSED, "missing")
-        assert isinstance(err.value, KeyError)
-        assert str(err.value) == "unknown synset: 'missing'"
+        for model in (ICModelId.SECO, ICModelId.PROPOSED):
+            table = ic_table(chain, model)
+            with pytest.raises(UnknownSynset) as err:
+                table["missing"]
+            assert isinstance(err.value, KeyError)
+            assert str(err.value) == "unknown synset: 'missing'"
+            assert len(table.values) == 0  # the failed read stored nothing
 
 
 configs = st.just(ICConfig()) | st.builds(
@@ -239,20 +243,23 @@ class TestModelInvariants:
     @settings(max_examples=60, deadline=None)
     @given(dags(), configs)
     def test_table_matches_single_node_value(self, t, cfg):
-        # ic_table and ic_value share one kernel per model
+        # a normalized table reads its raw table over the raw maximum, and
+        # every table keeps each value it computes, in the order of reading
         for model in models_for(cfg):
             table = ic_table(t, model, cfg)
-            raw = {c: ic_value(t, model, c, cfg) for c in t.nodes}
-            top = max(raw.values())
+            raw = ic_table(t, model, replace(cfg, normalize_unbounded=False))
+            top = raw.max_ic
+            values = [table[c] for c in t.nodes]
             assert list(table.values) == list(t.nodes)
-            for c, v in raw.items():
-                assert table[c] == (v / top if table.normalized else v)
+            for c, v in zip(t.nodes, values):
+                assert v == (raw[c] / top if table.normalized and top > 0.0 else raw[c])
 
     @settings(max_examples=60, deadline=None)
     @given(dags(), configs)
     def test_root_is_zero_for_every_model(self, t, cfg):
         for model in models_for(cfg):
-            for v in (ic_value(t, model, t.root, cfg), ic_table(t, model, cfg)[t.root]):
+            table = ic_table(t, model, cfg)
+            for v in (table[t.root], table[t.root]):  # computed, then stored
                 assert v == 0.0 and math.copysign(1.0, v) == 1.0
 
     @settings(max_examples=60, deadline=None)
@@ -262,26 +269,94 @@ class TestModelInvariants:
         for model in models_for(cfg):
             table = ic_table(t, model, cfg)
             if table.bounded:
-                assert all(0.0 <= v <= 1.0 for v in table.values.values())
+                assert all(0.0 <= table[c] <= 1.0 for c in t.nodes)
 
     def test_seco_monotone_toward_leaves(self):
         rng = random.Random(41)
         from conftest import random_taxonomy
         for _ in range(15):
             t = random_taxonomy(rng, max_nodes=30)
+            seco = ic_table(t, SECO)
             for node in t.nodes:
                 for anc in t.subsumers(node) - {node}:
-                    assert ic_value(t, SECO, anc) <= ic_value(t, SECO, node) + 1e-12
+                    assert seco[anc] <= seco[node] + 1e-12
 
     def test_proposed_equal_one_implies_deepest_leaf(self):
         rng = random.Random(43)
         from conftest import random_taxonomy
         for _ in range(15):
             t = random_taxonomy(rng, max_nodes=30)
+            proposed = ic_table(t, PROPOSED)
             for node in t.nodes:
-                if ic_value(t, PROPOSED, node) >= 1.0 - 1e-12:
+                if proposed[node] >= 1.0 - 1e-12:
                     assert t.stats[node].hypo_count == 0
                     assert t.depth(node) == t.constants.deep_max
+
+
+class TestLazyFill:
+    @settings(max_examples=60, deadline=None)
+    @given(dags(), configs, st.randoms(use_true_random=False))
+    def test_read_order_changes_no_value(self, t, cfg, rnd):
+        order = list(t.nodes)
+        rnd.shuffle(order)
+        for model in models_for(cfg):
+            in_order, shuffled = ic_table(t, model, cfg), ic_table(t, model, cfg)
+            want = [repr(in_order[c]) for c in t.nodes]
+            got = {c: repr(shuffled[c]) for c in order}
+            assert [got[c] for c in t.nodes] == want
+            assert list(shuffled.values) == order
+
+    @settings(max_examples=30, deadline=None)
+    @given(dags(), configs)
+    def test_threads_fill_the_same_values(self, t, cfg):
+        # four readers, more than the cores of a small machine, each starting
+        # at another node and switching threads as often as the interpreter can
+        nodes = list(t.nodes)
+
+        def read_all(table, k):
+            return {c: repr(table[c]) for c in nodes[k:] + nodes[:k]}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for model in models_for(cfg):
+                    want = read_all(ic_table(t, model, cfg), 0)
+                    shared = ic_table(t, model, cfg)
+                    reads = [pool.submit(read_all, shared, k) for k in range(4)]
+                    for read in reads:
+                        assert read.result(timeout=60) == want
+                    assert {c: repr(v) for c, v in shared.values.items()} == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dags(), configs)
+    def test_max_ic_is_the_largest_value(self, t, cfg):
+        for model in models_for(cfg):
+            table = ic_table(t, model, cfg)
+            top = table.max_ic
+            assert len(table.values) == 0  # the full pass stores nothing
+            assert repr(top) == repr(max(table[c] for c in t.nodes))
+
+    @settings(max_examples=60, deadline=None)
+    @given(dags(), st.sampled_from(ALL_MODELS), st.data())
+    def test_word_similarity_fills_only_subsumers(self, t, model, data):
+        # two polysemous words over the drawn DAG
+        ids = sorted(t.nodes)
+        senses = st.lists(st.sampled_from(ids), min_size=1, max_size=3, unique=True)
+        index = {"one": tuple(data.draw(senses)), "two": tuple(data.draw(senses))}
+        t = Taxonomy(dict(t.nodes), t.root, dict(t.stats), t.constants, index)
+        reach1 = set().union(*(t.subsumers(c) for c in index["one"]))
+        reach2 = set().union(*(t.subsumers(c) for c in index["two"]))
+        for measure in SimMeasureId:
+            for mode in ("max_depth", "max_ic"):
+                table = ic_table(t, model, ICConfig(normalize_unbounded=True))
+                if measure is SimMeasureId.BATET and table.max_ic == 0.0:
+                    continue  # batet refuses an all-zero table
+                word_similarity(t, table, measure, "one", "two", mode)
+                assert set(table.values) <= reach1 | reach2
+                assert set(table.values) - {*index["one"], *index["two"]} <= reach1 & reach2
 
 
 class TestFixtureDiscrimination:
@@ -291,10 +366,9 @@ class TestFixtureDiscrimination:
         t = freeze_fixture("multi_inheritance_pair.tsv")
         assert t.stats["single"].hypo_count == t.stats["multi"].hypo_count == 2
         assert t.depth("single") == t.depth("multi")
-        assert ic_value(t, MENG, "single") == pytest.approx(
-            ic_value(t, MENG, "multi"), rel=1e-12)
-        assert ic_value(t, PROPOSED, "single") != pytest.approx(
-            ic_value(t, PROPOSED, "multi"))
+        meng, proposed = ic_table(t, MENG), ic_table(t, PROPOSED)
+        assert meng["single"] == pytest.approx(meng["multi"], rel=1e-12)
+        assert proposed["single"] != pytest.approx(proposed["multi"])
 
     def test_equal_leaf_subsumers_different_depth(self):
         # both nodes subsume one leaf and each leaf has six subsumers, but
@@ -305,8 +379,7 @@ class TestFixtureDiscrimination:
             (leaf,) = [n for n in brute_closure(t, node, "children")
                        if not t.nodes[n].children]
             assert t.stats[leaf].subsumer_count == 6
-        assert ic_value(t, COMMONNESS2012, "shallow") == pytest.approx(
-            ic_value(t, COMMONNESS2012, "deep"), rel=1e-12)
-        assert ic_value(t, PROPOSED, "shallow") != pytest.approx(
-            ic_value(t, PROPOSED, "deep"))
+        commonness, proposed = ic_table(t, COMMONNESS2012), ic_table(t, PROPOSED)
+        assert commonness["shallow"] == pytest.approx(commonness["deep"], rel=1e-12)
+        assert proposed["shallow"] != pytest.approx(proposed["deep"])
 

@@ -50,9 +50,8 @@ class TestLcs:
         # p is an ancestor of c but carries a higher hand-assigned IC;
         # the deepest-subsumer rule must still pick c for the self pair
         t = build({"r": [], "p": ["r"], "c": ["p"]})
-        table = ICTable(model=ICModelId.PROPOSED,
-                        values={"r": 0.0, "p": 0.9, "c": 0.4},
-                        max_ic=0.9, normalized=False)
+        table = ICTable(ICModelId.PROPOSED, {"r": 0.0, "p": 0.9, "c": 0.4}, float)
+        assert table.max_ic == 0.9
         assert pair_similarity(t, table, RESNIK, "c", "c", "max_depth") == 0.4
         assert pair_similarity(t, table, RESNIK, "c", "c", "max_ic") == 0.9
 
@@ -156,7 +155,7 @@ class TestMeasureFormulas:
         # only the outer logarithm: every value scales by log2(10)
         t10 = ic_table(chain, ICModelId.SECO, ICConfig(log_base_absolute=10))
         t2 = ic_table(chain, ICModelId.SECO, ICConfig(log_base_absolute=2))
-        assert dict(t2.values) == dict(t10.values)
+        assert [t2[c] for c in chain.nodes] == [t10[c] for c in chain.nodes]
         for x, y in [("a", "b"), ("b", "b"), ("a", "a")]:
             assert pair_similarity(chain, t2, BATET, x, y) == pytest.approx(
                 pair_similarity(chain, t10, BATET, x, y) * math.log2(10), rel=1e-12)
@@ -184,8 +183,8 @@ class TestMeasureProperties:
         for _ in range(5):
             a, b = data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids))
             for measure in ALL_MEASURES:
-                # batet needs max_ic > 0; an all-zero unbounded table stays unnormalized
-                if table.max_ic == 0.0 and measure in (BATET, PROPOSED):
+                # batet needs max_ic > 0
+                if table.max_ic == 0.0 and measure is BATET:
                     continue
                 for mode in LCS_MODES:
                     assert pair_similarity(t, table, measure, a, b, mode) == \
@@ -232,10 +231,7 @@ class TestMeasureProperties:
         t1 = build(base)
         t2 = build({**base, "new_leaf": ["c"]})
         values = {"r": 0.0, "a": 0.7, "b": 0.5, "c": 0.9, "new_leaf": 0.95}
-        mk = lambda t: ICTable(model=ICModelId.PROPOSED,
-                               values={n: values[n] for n in t.nodes},
-                               max_ic=max(values[n] for n in t.nodes),
-                               normalized=False)
+        mk = lambda t: ICTable(ICModelId.PROPOSED, {n: values[n] for n in t.nodes}, float)
         assert pair_similarity(t1, mk(t1), RESNIK, "a", "c") == \
             pair_similarity(t2, mk(t2), RESNIK, "a", "c")
 

@@ -1,4 +1,5 @@
-"""The runtime stays stdlib-only.
+"""The runtime stays stdlib-only, and the benchmark tracer still finds
+what it wraps.
 
 Every import in ``src/semsim`` is relative or names a standard-library
 module, and ``pyproject.toml`` declares no runtime dependency; numpy,
@@ -6,6 +7,7 @@ scipy and hypothesis are for the tests alone.
 """
 
 import ast
+import importlib
 import re
 import sys
 
@@ -32,3 +34,23 @@ def test_package_imports_only_the_standard_library():
 def test_pyproject_declares_no_dependencies():
     text = (REPO / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
+
+
+# Names perfbench/tracing.py still wraps that the package deliberately
+# removed; the tracer skips a missing name, so each entry must be a removal,
+# never a rename whose metric would silently read 0.
+TRACED_BUT_REMOVED = {("ic", "ic_value")}  # the lazy table replaced it
+
+
+def test_every_traced_name_exists():
+    path = REPO / "perfbench" / "tracing.py"
+    targets = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_patch"):
+            module, name = (arg.value for arg in node.args[:2])
+            targets.add((module, name))
+    assert len(targets) > 5
+    missing = {(m, n) for m, n in targets
+               if not hasattr(importlib.import_module("semsim." + m), n)}
+    assert missing <= TRACED_BUT_REMOVED
