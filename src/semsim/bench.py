@@ -18,6 +18,7 @@ from .errors import (AllPairsSkipped, EmptyDataset, LengthMismatch, MalformedRow
 from .ic import ICConfig, ICModelId, ICTable, ic_table
 from .similarity import SimMeasureId, word_similarity
 from .taxonomy import Taxonomy
+from .wordnet import utf8_lines
 
 JSON_SCHEMA_VERSION = 1
 
@@ -76,6 +77,7 @@ def load_dataset(path) -> BenchmarkDataset:
     """Read a word1/word2/score table from a TSV or CSV file.
 
     An optional single header row is tolerated; ``#`` lines are comments.
+    A line that is not UTF-8 raises ``MalformedLine``.
     """
     path = Path(path)
     if not path.is_file():
@@ -83,32 +85,31 @@ def load_dataset(path) -> BenchmarkDataset:
     pairs: list[tuple[str, str, float]] = []
     seen: set[frozenset[str]] = set()
     first_data_row = True
-    with open(path, "r", encoding="utf-8") as fh:
-        for row_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            cells = line.split("\t") if "\t" in line else line.split(",")
-            if len(cells) != 3:
-                raise MalformedRow(path, row_no,
-                                   f"expected 3 columns, got {len(cells)}")
-            w1, w2, score_text = (c.strip() for c in cells)
-            try:
-                score = float(score_text)
-            except ValueError:
-                if first_data_row:
-                    first_data_row = False
-                    continue  # header row
-                raise MalformedRow(path, row_no,
-                                   f"score is not a number: {score_text!r}") from None
-            if not w1 or not w2:
-                raise MalformedRow(path, row_no, "empty word cell")
-            key = frozenset((w1.lower(), w2.lower()))
-            if key in seen:
-                raise MalformedRow(path, row_no, f"duplicate pair {w1}-{w2}")
-            seen.add(key)
-            pairs.append((w1, w2, score))
-            first_data_row = False
+    for row_no, line in utf8_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip() or line.startswith("#"):
+            continue
+        cells = line.split("\t") if "\t" in line else line.split(",")
+        if len(cells) != 3:
+            raise MalformedRow(path, row_no,
+                               f"expected 3 columns, got {len(cells)}")
+        w1, w2, score_text = (c.strip() for c in cells)
+        try:
+            score = float(score_text)
+        except ValueError:
+            if first_data_row:
+                first_data_row = False
+                continue  # header row
+            raise MalformedRow(path, row_no,
+                               f"score is not a number: {score_text!r}") from None
+        if not w1 or not w2:
+            raise MalformedRow(path, row_no, "empty word cell")
+        key = frozenset((w1.lower(), w2.lower()))
+        if key in seen:
+            raise MalformedRow(path, row_no, f"duplicate pair {w1}-{w2}")
+        seen.add(key)
+        pairs.append((w1, w2, score))
+        first_data_row = False
     if not pairs:
         raise EmptyDataset(f"no pairs in {path}")
     scores = [s for _, _, s in pairs]

@@ -13,21 +13,23 @@ import contextlib
 import hashlib
 import json
 import os
-import pickle
 import sys
 import tempfile
+from array import array
+from itertools import chain
 
 from . import bench
 from .errors import SemsimError
 from .ic import ICConfig, ICModelId, ic_table
 from .similarity import SimMeasureId, dcs as dcs_of_pair, word_similarity_detail
-from .taxonomy import Taxonomy, freeze
+from .taxonomy import TYPECODES, Columns, Taxonomy, TaxonomyConstants, freeze
 from .wordnet import default_wordnet_dir, parse_edgelist, parse_wordnet
 
-# Part of every snapshot fingerprint: change it whenever the pickled layout
-# of Taxonomy (or what freeze stores in it) changes, so that snapshots
-# written by another layout are rebuilt instead of served.
-SNAPSHOT_FORMAT = b"semsim-taxonomy-1"
+# The snapshot's format tag, also part of its fingerprint: change it
+# whenever the snapshot layout, the Taxonomy columns or what freeze stores
+# in them changes, so that snapshots written by another layout are rebuilt
+# instead of served.
+SNAPSHOT_FORMAT = b"semsim-taxonomy-2"
 
 
 class UsageError(Exception):
@@ -146,32 +148,109 @@ def load_taxonomy(args) -> Taxonomy:
     sources = [os.path.join(wn_dir, "data.noun"), os.path.join(wn_dir, "index.noun")]
     fingerprint = None
     if args.cache:
-        # A missing, damaged or foreign snapshot is a cache miss.  Unpickling
-        # arbitrary bytes can raise almost any exception (OverflowError for a
-        # bad frame length, AttributeError for a class that moved), and the
-        # snapshot is only a cache, so every failure here means rebuild.
+        if any(_same_file(args.cache, source) for source in sources):
+            raise UsageError(f"--cache names a WordNet source file: {args.cache}")
+        # A missing, damaged, foreign or stale snapshot is a cache miss.  A
+        # JSON header nested deep enough raises RecursionError.
         try:
             fingerprint = _source_fingerprint(sources, args.depth_mode)
-            with open(args.cache, "rb") as fh:
-                snapshot = pickle.load(fh)
-        except Exception:
-            snapshot = None
-        if (isinstance(snapshot, dict) and snapshot.get("fingerprint") == fingerprint
-                and isinstance(snapshot.get("taxonomy"), Taxonomy)):
-            return snapshot["taxonomy"]
+            cached = _read_snapshot(args.cache, fingerprint)
+        except (OSError, ValueError, RecursionError):
+            cached = None
+        if cached is not None:
+            return cached
     raw, word_index = parse_wordnet(wn_dir)
     taxonomy = freeze(raw, depth_mode=args.depth_mode, word_index=word_index)
     if args.cache and fingerprint is not None:
-        _write_snapshot(args.cache, {"fingerprint": fingerprint, "taxonomy": taxonomy})
+        _write_snapshot(args.cache, taxonomy, fingerprint)
     return taxonomy
 
 
-def _write_snapshot(path: str, snapshot: dict) -> None:
+def _same_file(path: str, other: str) -> bool:
+    try:
+        return os.path.samefile(path, other)
+    except OSError:  # either one is missing
+        return False
+
+
+# The snapshot file: one JSON header line, then the arrays of
+# taxonomy.Columns as raw machine bytes, in their order, then every id,
+# lemma and word, newline-joined as UTF-8 (the parsers split lines on
+# newlines, so no string holds one).  The header's "sections" holds the
+# item count of each array, then the counts of ids and lemmas (the words
+# are the rest) and the byte length of the strings.
+_ITEMSIZE = {code: array(code).itemsize for code in sorted(set(TYPECODES))}
+
+
+def _snapshot_chunks(t: Taxonomy, fingerprint: str):
+    """The bytes of ``t``'s snapshot, in the order they are written."""
+    strings = "\n".join(chain(t.ids, t.lemmas, t.words)).encode("utf-8")
+    c = t.constants
+    header = {"format": SNAPSHOT_FORMAT.decode(), "fingerprint": fingerprint,
+              "byteorder": sys.byteorder, "itemsize": _ITEMSIZE,
+              "sections": [len(col) for col in t.columns]
+              + [len(t.ids), len(t.lemmas), len(strings)],
+              "root": t.root, "constants": [c.node_max, c.deep_max, c.leaves_max]}
+    yield json.dumps(header).encode("utf-8") + b"\n"
+    yield from t.columns
+    yield strings
+
+
+def _read_snapshot(path: str, fingerprint: str) -> Taxonomy | None:
+    """The taxonomy stored at ``path``, or None unless the file is a whole
+    snapshot in this format, of these sources, for this machine's byte
+    order and item sizes.
+
+    Reading runs no code from the file: the header is JSON, the columns
+    are copied into arrays and the strings are decoded text, and the
+    ``Taxonomy`` constructor rejects columns that do not fit together
+    (offsets that do not end at the length of their flat list, a row index
+    out of range).  Raises ``OSError`` or ``ValueError`` for a file it
+    cannot read or decode.
+    """
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline())
+        body = fh.read()
+    expected = {"format": SNAPSHOT_FORMAT.decode(), "fingerprint": fingerprint,
+                "byteorder": sys.byteorder, "itemsize": _ITEMSIZE}
+    if not isinstance(header, dict) or any(header.get(k) != v for k, v in expected.items()):
+        return None
+    sections, root, constants = header.get("sections"), header.get("root"), header.get("constants")
+    n_columns = len(TYPECODES)
+    if not (_counts(sections, n_columns + 3) and _counts(constants, 3)
+            and isinstance(root, str)):
+        return None
+    sizes = [n * _ITEMSIZE[code] for n, code in zip(sections, TYPECODES)]
+    if sum(sizes) + sections[-1] != len(body):
+        return None
+    columns = []
+    view = memoryview(body)
+    pos = 0
+    for code, size in zip(TYPECODES, sizes):
+        col = array(code)
+        col.frombytes(view[pos:pos + size])
+        columns.append(col)
+        pos += size
+    strings = str(view[pos:], "utf-8").split("\n")
+    n_ids, n_lemmas = sections[n_columns:n_columns + 2]
+    return Taxonomy(tuple(strings[:n_ids]), tuple(strings[n_ids:n_ids + n_lemmas]),
+                    tuple(strings[n_ids + n_lemmas:]), Columns(*columns), root,
+                    TaxonomyConstants(*constants))
+
+
+def _counts(value, n: int) -> bool:
+    """Whether ``value`` is a list of ``n`` non-negative ints."""
+    return (isinstance(value, list) and len(value) == n
+            and all(type(v) is int and v >= 0 for v in value))
+
+
+def _write_snapshot(path: str, t: Taxonomy, fingerprint: str) -> None:
     """Replace the snapshot at ``path`` in one step, or leave it as it was.
 
-    The pickle goes to a temporary file beside it, which ``os.replace``
-    then renames over ``path``, so readers never see a partial snapshot.
-    Writing is best effort: an ``OSError`` leaves the old file in place.
+    The snapshot goes to a temporary file beside it, created with mode
+    0600, which ``os.replace`` then renames over ``path``, so readers
+    never see a partial snapshot.  Writing is best effort: an ``OSError``
+    leaves the old file in place.
     """
     try:
         fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
@@ -180,7 +259,8 @@ def _write_snapshot(path: str, snapshot: dict) -> None:
         return
     try:
         with os.fdopen(fd, "wb") as fh:
-            pickle.dump(snapshot, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            for chunk in _snapshot_chunks(t, fingerprint):
+                fh.write(chunk)
         os.replace(tmp, path)
     except OSError:
         pass  # the snapshot is only a cache
@@ -268,7 +348,7 @@ def cmd_dcs(args) -> int:
     else:
         print(f"senses: {sa} x {sb}")
         for m in members:
-            print(f"{m}\t{','.join(t.nodes[m].lemmas)}\tdepth={t.stats[m].depth}")
+            print(f"{m}\t{','.join(t.nodes[m].lemmas)}\tdepth={t.depth(m)}")
     return 0
 
 

@@ -3,11 +3,11 @@
 Seven models are provided.  Each is written once, as a kernel factory:
 given a taxonomy and an :class:`ICConfig`, it resolves the per-table
 constants once (the logs of node_max, deep_max+1 and leaves_max+1, zhou_k,
-the log base, the root's commonness) and returns a pure function of one
-node's cached :class:`NodeStats`.  :func:`ic_table` resolves that kernel
-and returns a lazy :class:`ICTable`: a node's IC is computed on its first
-read and kept, so a query pays only for the nodes it reads.  Conventions
-shared by all of them:
+the log base, the root's commonness), picks the statistics columns it
+reads and returns a pure function of one node's row.  :func:`ic_table`
+resolves that kernel and returns a lazy :class:`ICTable`: a node's IC is
+computed on its first read and kept, so a query pays only for the nodes
+it reads.  Conventions shared by all of them:
 
 * IC of the root is exactly 0; a single-node taxonomy yields 0 everywhere.
 * Log ratios (numerator and denominator both logs of counts) are base
@@ -30,7 +30,7 @@ from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
 from .errors import UnboundedIC, UnknownSynset
-from .taxonomy import NodeStats, SynsetId, Taxonomy
+from .taxonomy import SynsetId, Taxonomy
 
 
 class ICModelId(str, Enum):
@@ -77,8 +77,8 @@ class ICConfig:
 class ICTable:
     """IC values of one model, each computed on its first read and then kept.
 
-    ``stats`` maps every synset id to what ``kernel`` reads: the taxonomy's
-    :class:`NodeStats` for a table from :func:`ic_table`, or the values
+    ``rows`` maps every synset id to what ``kernel`` reads: the taxonomy's
+    row (``Taxonomy.row``) for a table from :func:`ic_table`, or the values
     themselves with ``float`` as the kernel for a table of explicit values.
     A read of an id not yet computed runs the kernel on that one node and
     stores the result; a later read is one dict lookup.  An unknown id
@@ -91,13 +91,13 @@ class ICTable:
     then on; of the measures only batet reads it.
     """
 
-    def __init__(self, model: ICModelId, stats: Mapping[SynsetId, Any],
+    def __init__(self, model: ICModelId, rows: Mapping[SynsetId, Any],
                  kernel: Callable[[Any], float], normalized: bool = False,
                  config: ICConfig = ICConfig()):
         self.model = model
         self.normalized = normalized
         self.config = config
-        self._stats = stats
+        self._rows = rows
         self._kernel = kernel
         self._values: dict[SynsetId, float] = {}
         self.values: Mapping[SynsetId, float] = MappingProxyType(self._values)
@@ -109,16 +109,16 @@ class ICTable:
         except KeyError:
             pass
         try:
-            s = self._stats[synset_id]
+            r = self._rows[synset_id]
         except KeyError:
             raise UnknownSynset(synset_id) from None
-        value = self._values[synset_id] = self._kernel(s)
+        value = self._values[synset_id] = self._kernel(r)
         return value
 
     @property
     def max_ic(self) -> float:
         if self._max_ic is None:
-            self._max_ic = max(map(self._kernel, self._stats.values()))
+            self._max_ic = max(map(self._kernel, self._rows.values()))
         return self._max_ic
 
     @property
@@ -126,19 +126,20 @@ class ICTable:
         return self.model in BOUNDED_MODELS or self.normalized
 
 
-Kernel = Callable[[NodeStats], float]
+Kernel = Callable[[int], float]
 
 
-def _zero(s: NodeStats) -> float:
+def _zero(r: int) -> float:
     return 0.0
 
 
 def _seco(t: Taxonomy, cfg: ICConfig) -> Kernel:
     """Hyponym-count ratio: 1 - log(hypo+1)/log(node_max)."""
     log_n = log(t.constants.node_max)
+    hypo_count = t.columns.hypo_count
 
-    def seco(s: NodeStats) -> float:
-        return 1.0 - log(s.hypo_count + 1) / log_n
+    def seco(r: int) -> float:
+        return 1.0 - log(hypo_count[r] + 1) / log_n
     return seco
 
 
@@ -151,10 +152,12 @@ def _zhou(t: Taxonomy, cfg: ICConfig) -> Kernel:
     log_deep = log(t.constants.deep_max + 1)
     k = cfg.zhou_k
     k_depth = 1.0 - k
+    c = t.columns
+    hypo_count, depth = c.hypo_count, c.depth
 
-    def zhou(s: NodeStats) -> float:
-        hypo_part = 1.0 - log(s.hypo_count + 1) / log_n
-        depth_part = log(s.depth + 1) / log_deep
+    def zhou(r: int) -> float:
+        hypo_part = 1.0 - log(hypo_count[r] + 1) / log_n
+        depth_part = log(depth[r] + 1) / log_deep
         return k * hypo_part + k_depth * depth_part
     return zhou
 
@@ -164,12 +167,14 @@ def _sanchez2011(t: Taxonomy, cfg: ICConfig) -> Kernel:
     denominator = t.constants.leaves_max + 1.0
     base = cfg.log_base_absolute
     leaf_self = cfg.leaf_self
+    c = t.columns
+    leaf_count, hypo_count, subsumer_count = c.leaf_count, c.hypo_count, c.subsumer_count
 
-    def sanchez2011(s: NodeStats) -> float:
-        leaves = s.leaf_count
-        if leaf_self and s.hypo_count == 0:
+    def sanchez2011(r: int) -> float:
+        leaves = leaf_count[r]
+        if leaf_self and hypo_count[r] == 0:
             leaves = 1
-        ratio = (leaves / s.subsumer_count + 1.0) / denominator
+        ratio = (leaves / subsumer_count[r] + 1.0) / denominator
         return -log(ratio, base) + 0.0  # avoid -0.0 at the root
     return sanchez2011
 
@@ -180,11 +185,14 @@ def _commonness2012(t: Taxonomy, cfg: ICConfig) -> Kernel:
     commonness of a leaf is 1/subsumer_count(leaf); of an inner node, the
     sum of its leaf descendants' commonness.
     """
-    total = t.stats[t.root].leaf_commonness  # the root is no leaf once node_max > 1
+    c = t.columns
+    subsumer_count, hypo_count, leaf_commonness = (
+        c.subsumer_count, c.hypo_count, c.leaf_commonness)
+    total = leaf_commonness[t.row[t.root]]  # the root is no leaf once node_max > 1
     base = cfg.log_base_absolute
 
-    def commonness2012(s: NodeStats) -> float:
-        own = 1.0 / s.subsumer_count if s.hypo_count == 0 else s.leaf_commonness
+    def commonness2012(r: int) -> float:
+        own = 1.0 / subsumer_count[r] if hypo_count[r] == 0 else leaf_commonness[r]
         return -log(own / total, base) + 0.0  # avoid -0.0 at the root
     return commonness2012
 
@@ -198,12 +206,15 @@ def _meng(t: Taxonomy, cfg: ICConfig) -> Kernel:
     log_n = log(t.constants.node_max)
     deep_max = t.constants.deep_max
     log_deep = None if deep_max <= 1 else log(deep_max)
+    c = t.columns
+    depth, inv_depth_sum = c.depth, c.inv_depth_sum
 
-    def meng(s: NodeStats) -> float:
-        if s.depth == 0:
+    def meng(r: int) -> float:
+        d = depth[r]
+        if d == 0:
             return 0.0
-        depth_part = 1.0 if log_deep is None else log(s.depth) / log_deep
-        hypo_part = 1.0 - log(s.inv_depth_sum + 1.0) / log_n
+        depth_part = 1.0 if log_deep is None else log(d) / log_deep
+        hypo_part = 1.0 - log(inv_depth_sum[r] + 1.0) / log_n
         return depth_part * hypo_part
     return meng
 
@@ -217,11 +228,13 @@ def _qingbo(t: Taxonomy, cfg: ICConfig) -> Kernel:
     log_n = log(t.constants.node_max)
     log_deep = log(t.constants.deep_max + 1)
     log_leaves = log(t.constants.leaves_max + 1)
+    c = t.columns
+    depth, leaf_count, subsumer_count = c.depth, c.leaf_count, c.subsumer_count
 
-    def qingbo(s: NodeStats) -> float:
-        f_depth = log(s.depth + 1) / log_deep
-        f_leaves = log(s.leaf_count + 1) / log_leaves
-        f_hypernyms = log(s.subsumer_count) / log_n  # subsumers minus self, plus one
+    def qingbo(r: int) -> float:
+        f_depth = log(depth[r] + 1) / log_deep
+        f_leaves = log(leaf_count[r] + 1) / log_leaves
+        f_hypernyms = log(subsumer_count[r]) / log_n  # subsumers minus self, plus one
         return f_depth * (1.0 - f_leaves) + f_hypernyms
     return qingbo
 
@@ -242,12 +255,15 @@ def _proposed(t: Taxonomy, cfg: ICConfig) -> Kernel:
     log_n = log(t.constants.node_max)
     log_deep = log(t.constants.deep_max + 1)
     leaves_max = t.constants.leaves_max
+    c = t.columns
+    depth, leaf_count, nmih = c.depth, c.leaf_count, c.nmih
+    subsumer_count, inv_depth_sum = c.subsumer_count, c.inv_depth_sum
 
-    def proposed(s: NodeStats) -> float:
-        f1 = log(s.depth + 1) / log_deep
-        penalty = (s.leaf_count * s.nmih / leaves_max) / s.subsumer_count
+    def proposed(r: int) -> float:
+        f1 = log(depth[r] + 1) / log_deep
+        penalty = (leaf_count[r] * nmih[r] / leaves_max) / subsumer_count[r]
         f2 = 1.0 - log(penalty + 1.0, base)
-        f3 = 1.0 - log(s.inv_depth_sum + 1.0) / log_n
+        f3 = 1.0 - log(inv_depth_sum[r] + 1.0) / log_n
         return f1 * f2 * f3
     return proposed
 
@@ -285,10 +301,10 @@ def ic_table(t: Taxonomy, model: ICModelId, cfg: ICConfig = ICConfig()) -> ICTab
     kernel = _kernel(t, model, cfg)
     normalized = cfg.normalize_unbounded and model not in BOUNDED_MODELS
     if normalized:
-        top = max(map(kernel, t.stats.values()))
+        top = max(map(kernel, t.row.values()))
         if top > 0.0:
             raw = kernel
 
-            def kernel(s: NodeStats) -> float:
-                return raw(s) / top
-    return ICTable(model, t.stats, kernel, normalized, cfg)
+            def kernel(r: int) -> float:
+                return raw(r) / top
+    return ICTable(model, t.row, kernel, normalized, cfg)

@@ -66,7 +66,8 @@ def dcs(t: Taxonomy, a: SynsetId, b: SynsetId) -> tuple[SynsetId, ...]:
     for y in suspects:
         ancestors_of_suspects |= t.subsumers(y) - {y}
     kept = suspects - ancestors_of_suspects
-    return tuple(sorted(kept, key=lambda c: (-t.stats[c].depth, c)))
+    depth, row = t.columns.depth, t.row
+    return tuple(sorted(kept, key=lambda c: (-depth[row[c]], c)))
 
 
 # Four closed-form measures, as functions of IC(a), IC(b) and IC(lcs).
@@ -122,7 +123,7 @@ def _pair_kernel(t: Taxonomy, ic: ICTable, measure: SimMeasureId,
     else:
         formula = _FORMULAS[measure]
     subsumers = t.subsumers
-    stats = t.stats
+    depth_longest, row = t.columns.depth_longest, t.row
     if lcs_mode == "max_ic":
         def closed_form(a: SynsetId, b: SynsetId) -> float:
             return formula(ic[a], ic[b], max(ic[c] for c in subsumers(a) & subsumers(b)))
@@ -130,8 +131,8 @@ def _pair_kernel(t: Taxonomy, ic: ICTable, measure: SimMeasureId,
 
     def closed_form(a: SynsetId, b: SynsetId) -> float:
         cs = subsumers(a) & subsumers(b)
-        deepest = max(stats[c].depth_longest for c in cs)
-        lcs = max(ic[c] for c in cs if stats[c].depth_longest == deepest)
+        deepest = max(depth_longest[row[c]] for c in cs)
+        lcs = max(ic[c] for c in cs if depth_longest[row[c]] == deepest)
         return formula(ic[a], ic[b], lcs)
     return closed_form
 

@@ -1,4 +1,4 @@
-"""Immutable hypernym DAG with cached per-node statistics.
+"""Immutable hypernym DAG with cached per-node statistics, held in columns.
 
 The taxonomy is built once by :func:`freeze` from a raw parent map and is
 read-only afterwards.  All query operations are pure and safe to call from
@@ -8,14 +8,34 @@ lexicographic order of synset ids).
 Depth is the minimum edge distance from the root (``depth_mode="min"``,
 the default).  The longest-path depth is always cached separately because
 the deepest-common-subsumer rule in the similarity layer depends on it.
+
+Columns.  Each node has a row, its position in ``Taxonomy.ids``, and each
+word of the index a position in ``Taxonomy.words``.  Everything else sits
+in the flat arrays of :class:`Columns`: the parents, children and lemmas
+of a node and the senses of a word as CSR lists (an offsets array plus
+one flat array), and the eight :class:`NodeStats` fields as one array
+each.  ``Taxonomy.row`` maps an id to its row.  The hot paths (the
+subsumer walk, the IC kernels, the LCS and DCS rules) read the columns,
+and the CLI snapshot is a dump of them.
+
+Views.  ``nodes``, ``stats`` and ``word_index`` are read-only mappings for
+the API edge.  Iterating one, taking its length or testing membership
+builds nothing, but each value read is built on the spot: a
+:class:`Synset` (three tuples) or a :class:`NodeStats`, so a loop over
+all values of ``nodes`` or ``stats`` allocates one object per node.  A
+word's sense tuple is the exception: ``word_index`` and
+:meth:`Taxonomy.senses` build it on the word's first read and share it
+from then on.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
-from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
+from itertools import chain
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import CycleDetected, EmptyGraph, UnknownSynset
 
@@ -28,23 +48,22 @@ SYNTHETIC_ROOT = "__root__"
 
 @dataclass(frozen=True)
 class Synset:
-    """One concept node of the taxonomy.
+    """One concept node of the taxonomy, as the ``nodes`` view builds it.
 
     ``parents``/``children`` carry plain and instance hypernym edges merged
-    into a single DAG; ``is_instance`` marks nodes reachable only through
-    instance pointers.
+    into a single DAG, each sorted by id.
     """
 
     id: SynsetId
     lemmas: tuple[str, ...]
     parents: tuple[SynsetId, ...]
     children: tuple[SynsetId, ...]
-    is_instance: bool = False
 
 
 @dataclass(frozen=True)
 class NodeStats:
-    """Cached topological statistics for one node.
+    """Cached topological statistics for one node, as the ``stats`` view
+    builds it from the columns of the same names.
 
     depth            minimum edge distance from the root
     depth_longest    longest-path distance from the root
@@ -86,68 +105,205 @@ class RawGraph:
 
     parents: dict[SynsetId, list[SynsetId]]
     lemmas: dict[SynsetId, tuple[str, ...]] = field(default_factory=dict)
-    instance_ids: frozenset[SynsetId] = frozenset()
     pinned_root: SynsetId | None = None
 
 
-class Taxonomy:
-    """Frozen hypernym DAG plus cached stats, constants and word index."""
+class Columns(NamedTuple):
+    """The arrays of a frozen taxonomy, in the order a snapshot stores them.
 
-    def __init__(self, nodes, root, stats, constants, word_index):
-        self.nodes: Mapping[SynsetId, Synset] = MappingProxyType(nodes)
-        self.root: SynsetId = root
-        self.stats: Mapping[SynsetId, NodeStats] = MappingProxyType(stats)
-        self.constants: TaxonomyConstants = constants
-        self.word_index: Mapping[str, tuple[SynsetId, ...]] = MappingProxyType(word_index)
-        self._subsumer_cache: dict[SynsetId, frozenset[SynsetId]] = {}
+    A CSR list keeps the items of entry ``i`` at
+    ``flat[start[i]:start[i + 1]]``.  There are four: the parent rows and
+    the child rows of each node (each sorted by id), the lemmas of each
+    node (the flat list is ``Taxonomy.lemmas``) and the sense rows of each
+    word (in ``Taxonomy.words`` order, senses in index order).  The last
+    eight arrays are the :class:`NodeStats` fields by row.  All are
+    ``'l'`` arrays except the two float sums, which are ``'d'``.
+    """
 
-    def __contains__(self, synset_id: SynsetId) -> bool:
-        return synset_id in self.nodes
+    parent_start: array
+    parent_rows: array
+    child_start: array
+    child_rows: array
+    lemma_start: array
+    sense_start: array
+    sense_rows: array
+    depth: array
+    depth_longest: array
+    hypo_count: array
+    leaf_count: array
+    subsumer_count: array
+    nmih: array
+    inv_depth_sum: array
+    leaf_commonness: array
+
+
+STAT_FIELDS = tuple(f.name for f in fields(NodeStats))
+TYPECODES = tuple("d" if name in ("inv_depth_sum", "leaf_commonness") else "l"
+                  for name in Columns._fields)
+
+
+class _View(Mapping):
+    """Read-only mapping over ``keys``, in their order, whose value for a
+    key is built from its row by ``build(key, row)`` when it is read."""
+
+    __slots__ = ("_keys", "_rows", "_build")
+
+    def __init__(self, keys, rows: dict, build: Callable):
+        self._keys = keys
+        self._rows = rows
+        self._build = build
+
+    def __getitem__(self, key):
+        return self._build(key, self._rows[key])
+
+    def __contains__(self, key) -> bool:
+        return key in self._rows
+
+    def __iter__(self):
+        return iter(self._keys)
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self._keys)
 
-    # mapping proxies cannot be pickled; snapshot as plain dicts
-    def __getstate__(self):
-        return {"nodes": dict(self.nodes), "root": self.root,
-                "stats": dict(self.stats), "constants": self.constants,
-                "word_index": dict(self.word_index)}
 
-    def __setstate__(self, state):
-        self.__init__(state["nodes"], state["root"], state["stats"],
-                      state["constants"], state["word_index"])
+class Taxonomy:
+    """Frozen hypernym DAG plus cached stats, constants and word index.
 
-    def _require(self, synset_id: SynsetId) -> Synset:
+    ``ids`` (one per row), ``lemmas`` (the flat lemma list) and ``words``
+    are tuples of strings, ``row`` is the dict from id to row and
+    ``columns`` holds the arrays described in :class:`Columns`.  Treat all
+    of them as read-only.
+
+    :func:`freeze` and the CLI's snapshot reader both build a taxonomy
+    through this constructor, which raises ``ValueError`` unless the
+    columns fit together: unique ids and words, a known root, the layout's
+    typecodes, one offset per entry plus one for each CSR list, running
+    from 0 to the length of its flat list, row indexes within the node
+    count and one statistics entry per node.  So no read of a checked
+    taxonomy can index past a column, whatever the file it came from.
+    """
+
+    def __init__(self, ids: tuple[SynsetId, ...], lemmas: tuple[str, ...],
+                 words: tuple[str, ...], columns: Columns, root: SynsetId,
+                 constants: TaxonomyConstants):
+        n = len(ids)
+        row = dict(zip(ids, range(n)))
+        word_row = dict(zip(words, range(len(words))))
+        if not n or len(row) != n or len(word_row) != len(words):
+            raise ValueError("node ids and words must be unique, with at least one node")
+        if root not in row:
+            raise ValueError(f"root {root!r} is not a node")
+        _check_columns(columns, n, len(lemmas), len(words))
+        self.ids = ids
+        self.row = row
+        self.lemmas = lemmas
+        self.words = words
+        self.columns = columns
+        self.root: SynsetId = root
+        self.constants: TaxonomyConstants = constants
+        self._word_row = word_row
+        # memos of pure functions: a fill stores the same value in every thread
+        self._senses: dict[str, tuple[SynsetId, ...]] = {}
+        self._subsumer_cache: dict[SynsetId, frozenset[SynsetId]] = {}
+        self.nodes: Mapping[SynsetId, Synset] = _View(ids, row, self._synset)
+        self.stats: Mapping[SynsetId, NodeStats] = _View(ids, row, self._node_stats)
+        self.word_index: Mapping[str, tuple[SynsetId, ...]] = _View(
+            words, word_row, self._sense_ids)
+
+    def __contains__(self, synset_id: SynsetId) -> bool:
+        return synset_id in self.row
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def _row_of(self, synset_id: SynsetId) -> int:
         try:
-            return self.nodes[synset_id]
+            return self.row[synset_id]
         except KeyError:
             raise UnknownSynset(synset_id) from None
 
+    def _ids_at(self, start: array, rows: array, i: int) -> tuple[SynsetId, ...]:
+        ids = self.ids
+        return tuple([ids[r] for r in rows[start[i]:start[i + 1]]])
+
+    def _synset(self, synset_id: SynsetId, r: int) -> Synset:
+        c = self.columns
+        return Synset(synset_id, self.lemmas[c.lemma_start[r]:c.lemma_start[r + 1]],
+                      self._ids_at(c.parent_start, c.parent_rows, r),
+                      self._ids_at(c.child_start, c.child_rows, r))
+
+    def _node_stats(self, synset_id: SynsetId, r: int) -> NodeStats:
+        return NodeStats(*[getattr(self.columns, name)[r] for name in STAT_FIELDS])
+
+    def _sense_ids(self, word: str, w: int) -> tuple[SynsetId, ...]:
+        found = self._senses.get(word)
+        if found is None:
+            c = self.columns
+            found = self._senses[word] = self._ids_at(c.sense_start, c.sense_rows, w)
+        return found
+
     def subsumers(self, synset_id: SynsetId) -> frozenset[SynsetId]:
-        """Ancestor set of the node, the node itself included."""
-        self._require(synset_id)
+        """Ancestor set of the node, the node itself included.
+
+        The first call for a node walks the parent rows; the set is kept
+        and served to every later call.
+        """
         cached = self._subsumer_cache.get(synset_id)
         if cached is not None:
             return cached
-        seen = {synset_id}
-        queue = deque((synset_id,))
-        while queue:
-            for parent in self.nodes[queue.popleft()].parents:
-                if parent not in seen:
-                    seen.add(parent)
-                    queue.append(parent)
-        result = frozenset(seen)
+        start, parents = self.columns.parent_start, self.columns.parent_rows
+        seen = {self._row_of(synset_id)}
+        stack = list(seen)
+        while stack:
+            r = stack.pop()
+            for p in parents[start[r]:start[r + 1]]:
+                if p not in seen:
+                    seen.add(p)
+                    stack.append(p)
+        ids = self.ids
+        result = frozenset([ids[r] for r in seen])
         self._subsumer_cache[synset_id] = result
         return result
 
     def depth(self, synset_id: SynsetId) -> int:
         """Minimum edge distance from the root (0 for the root)."""
-        self._require(synset_id)
-        return self.stats[synset_id].depth
+        return self.columns.depth[self._row_of(synset_id)]
 
     def senses(self, word: str) -> tuple[SynsetId, ...]:
         """Noun senses of a word; case-insensitive, spaces map to underscores."""
-        return self.word_index.get(word.lower().replace(" ", "_"), ())
+        key = word.lower().replace(" ", "_")
+        found = self._senses.get(key)
+        if found is not None:
+            return found
+        w = self._word_row.get(key)
+        return () if w is None else self._sense_ids(key, w)
+
+
+def _check_columns(c: Columns, n: int, n_lemmas: int, n_words: int) -> None:
+    """Raise ``ValueError`` unless the columns fit ``n`` nodes, ``n_lemmas``
+    lemmas and ``n_words`` words (see :class:`Taxonomy`)."""
+    if tuple(col.typecode for col in c) != TYPECODES:
+        raise ValueError("column typecodes do not match the layout")
+    lists = ((c.parent_start, len(c.parent_rows), n), (c.child_start, len(c.child_rows), n),
+             (c.lemma_start, n_lemmas, n), (c.sense_start, len(c.sense_rows), n_words))
+    for start, total, entries in lists:
+        if len(start) != entries + 1 or start[0] != 0 or start[-1] != total:
+            raise ValueError("CSR counts do not sum to the length of their flat list")
+    for rows in (c.parent_rows, c.child_rows, c.sense_rows):
+        if rows and not (min(rows) >= 0 and max(rows) < n):
+            raise ValueError("row index out of range")
+    if any(len(getattr(c, name)) != n for name in STAT_FIELDS):
+        raise ValueError("a statistics column does not have one entry per node")
+
+
+def _offsets(lists) -> array:
+    """CSR offsets of a sequence of lists."""
+    start = array("l", [0])
+    total = 0
+    for items in lists:
+        total += len(items)
+        start.append(total)
+    return start
 
 
 def freeze(raw: RawGraph, depth_mode: str = "min",
@@ -156,10 +312,13 @@ def freeze(raw: RawGraph, depth_mode: str = "min",
 
     Multiple parentless nodes are gathered under one synthetic root (or
     under ``raw.pinned_root`` when set) so that every node reaches a single
-    root and the root's IC is zero under every model.
+    root and the root's IC is zero under every model.  Without a
+    ``word_index``, each lemma (lowercased) indexes the nodes that carry
+    it, in id order.
 
-    Raises ``EmptyGraph`` for zero nodes and ``CycleDetected`` (with one
-    offending cycle) when the hypernym edges are not acyclic.
+    Raises ``EmptyGraph`` for zero nodes, ``CycleDetected`` (with one
+    offending cycle) when the hypernym edges are not acyclic and
+    ``UnknownSynset`` for a parent or a word sense that is not a node.
     """
     if depth_mode not in ("min", "max"):
         raise ValueError(f"depth_mode must be 'min' or 'max', got {depth_mode!r}")
@@ -269,46 +428,50 @@ def freeze(raw: RawGraph, depth_mode: str = "min",
         leaf_commonness[node] = sum(n / s for s, n in sorted(by_subs.items()))
     del descendants
 
-    stats = {
-        node: NodeStats(
-            depth=depth[node],
-            depth_longest=depth_longest[node],
-            hypo_count=hypo_count[node],
-            leaf_count=leaf_count[node],
-            subsumer_count=subsumer_count[node],
-            nmih=len(parents[node]),
-            inv_depth_sum=inv_depth_sum[node],
-            leaf_commonness=leaf_commonness[node],
-        )
-        for node in parents
-    }
     constants = TaxonomyConstants(
         node_max=len(parents),
         deep_max=max(depth.values()),
         leaves_max=sum(1 for n in parents if not children[n]),
     )
 
-    nodes = {}
-    for node in parents:
-        lem = tuple(raw.lemmas.get(node, (node,)))
-        nodes[node] = Synset(
-            id=node,
-            lemmas=lem,
-            parents=tuple(sorted(parents[node])),
-            children=tuple(sorted(children[node])),
-            is_instance=node in raw.instance_ids,
-        )
-
+    ids = tuple(parents)
+    row = dict(zip(ids, range(len(ids))))
+    lemma_lists = [tuple(raw.lemmas.get(node, (node,))) for node in ids]
     if word_index is None:
         built: dict[str, list[SynsetId]] = {}
-        for node in sorted(nodes):
-            for lemma in nodes[node].lemmas:
+        for node in sorted(ids):
+            for lemma in lemma_lists[row[node]]:
                 built.setdefault(lemma.lower(), []).append(node)
-        index = {w: tuple(ids) for w, ids in built.items()}
-    else:
-        index = {w: tuple(ids) for w, ids in word_index.items()}
+        word_index = built
+    try:
+        sense_lists = [[row[s] for s in senses] for senses in word_index.values()]
+    except KeyError as exc:
+        raise UnknownSynset(exc.args[0]) from None
+    parent_lists = [[row[p] for p in sorted(parents[node])] for node in ids]
+    child_lists = [[row[c] for c in sorted(children[node])] for node in ids]
 
-    return Taxonomy(nodes, root, stats, constants, index)
+    def column(values: dict, typecode: str = "l") -> array:
+        return array(typecode, [values[node] for node in ids])
+
+    columns = Columns(
+        parent_start=_offsets(parent_lists),
+        parent_rows=array("l", chain.from_iterable(parent_lists)),
+        child_start=_offsets(child_lists),
+        child_rows=array("l", chain.from_iterable(child_lists)),
+        lemma_start=_offsets(lemma_lists),
+        sense_start=_offsets(sense_lists),
+        sense_rows=array("l", chain.from_iterable(sense_lists)),
+        depth=column(depth),
+        depth_longest=column(depth_longest),
+        hypo_count=column(hypo_count),
+        leaf_count=column(leaf_count),
+        subsumer_count=column(subsumer_count),
+        nmih=array("l", [len(parents[node]) for node in ids]),
+        inv_depth_sum=column(inv_depth_sum, "d"),
+        leaf_commonness=column(leaf_commonness, "d"),
+    )
+    return Taxonomy(ids, tuple(chain.from_iterable(lemma_lists)), tuple(word_index),
+                    columns, root, constants)
 
 
 def _find_cycle(parents: Mapping[SynsetId, list[SynsetId]],

@@ -51,6 +51,7 @@ def parse_wordnet(dir_path) -> tuple[RawGraph, dict[str, tuple[SynsetId, ...]]]:
     The license header (lines starting with two spaces) is skipped.  Every
     synset line must start at the byte offset its own offset field claims,
     which guards against truncated or re-encoded copies of the database.
+    A line of either file that is not UTF-8 raises ``MalformedLine``.
     """
     data_path = os.path.join(dir_path, "data.noun")
     index_path = os.path.join(dir_path, "index.noun")
@@ -62,26 +63,19 @@ def parse_wordnet(dir_path) -> tuple[RawGraph, dict[str, tuple[SynsetId, ...]]]:
     known = set(records)
 
     parents: dict[SynsetId, list[SynsetId]] = {}
-    instance_ids: set[SynsetId] = set()
     lemmas: dict[SynsetId, tuple[str, ...]] = {}
     asymmetries = 0
     for offset, rec in records.items():
         sid = synset_id(offset)
         ps: list[SynsetId] = []
-        plain_parent = False
-        instance_parent = False
         for symbol, target, pos in rec.pointers:
             if pos != "n":
                 continue
             if symbol in HYPERNYM_SYMBOLS or symbol in HYPONYM_SYMBOLS:
                 if target not in known:
                     raise DanglingPointer(sid, symbol, target)
-            if symbol == "@":
+            if symbol in HYPERNYM_SYMBOLS:
                 ps.append(synset_id(target))
-                plain_parent = True
-            elif symbol == "@i":
-                ps.append(synset_id(target))
-                instance_parent = True
             elif symbol in HYPONYM_SYMBOLS:
                 reverse = "@" if symbol == "~" else "@i"
                 back = records[target].pointers
@@ -91,8 +85,6 @@ def parse_wordnet(dir_path) -> tuple[RawGraph, dict[str, tuple[SynsetId, ...]]]:
                                 symbol, offset, target, reverse)
         parents[sid] = ps
         lemmas[sid] = rec.lemmas
-        if instance_parent and not plain_parent:
-            instance_ids.add(sid)
     if asymmetries:
         log.warning("%d asymmetric hyponym pointers in %s", asymmetries, data_path)
 
@@ -100,8 +92,24 @@ def parse_wordnet(dir_path) -> tuple[RawGraph, dict[str, tuple[SynsetId, ...]]]:
     for entry in _parse_index_noun(index_path, known):
         word_index[entry.lemma] = tuple(synset_id(o) for o in entry.sense_offsets)
 
-    raw = RawGraph(parents=parents, lemmas=lemmas, instance_ids=frozenset(instance_ids))
-    return raw, word_index
+    return RawGraph(parents=parents, lemmas=lemmas), word_index
+
+
+def utf8_lines(path):
+    """Yield ``(line_no, line)`` for each line of a UTF-8 text file, line
+    numbers from 1 and the newline kept; a line that is not UTF-8 raises
+    ``MalformedLine``."""
+    with open(path, "rb") as fh:
+        for line_no, raw_line in enumerate(fh, start=1):
+            yield line_no, _decode(path, line_no, raw_line)
+
+
+def _decode(path, line_no: int, raw_line: bytes, byte_offset: int | None = None) -> str:
+    try:
+        return raw_line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedLine(path, line_no, f"not UTF-8: {exc.reason} at byte {exc.start} "
+                            "of the line", byte_offset=byte_offset) from None
 
 
 def _parse_data_noun(path) -> dict[str, RawSynsetRecord]:
@@ -113,7 +121,7 @@ def _parse_data_noun(path) -> dict[str, RawSynsetRecord]:
             byte_pos += len(raw_line)
             if raw_line.startswith(b"  "):  # license header
                 continue
-            line = raw_line.decode("utf-8").rstrip("\n")
+            line = _decode(path, line_no, raw_line, line_start).rstrip("\n")
             if not line:
                 continue
             fields = line.split(" ")
@@ -147,27 +155,26 @@ def _parse_data_noun(path) -> dict[str, RawSynsetRecord]:
 
 def _parse_index_noun(path, known_offsets) -> list[WordIndexEntry]:
     entries: list[WordIndexEntry] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.startswith("  "):
-                continue
-            fields = line.split()
-            if not fields:
-                continue
-            try:
-                lemma = fields[0]
-                synset_cnt = int(fields[2])
-                p_cnt = int(fields[3])
-                offsets = fields[6 + p_cnt:]
-                if len(offsets) != synset_cnt:
-                    raise ValueError(
-                        f"expected {synset_cnt} sense offsets, found {len(offsets)}")
-            except (IndexError, ValueError) as exc:
-                raise MalformedLine(path, line_no, str(exc)) from None
-            for o in offsets:
-                if o not in known_offsets:
-                    raise DanglingPointer(lemma, "index", o)
-            entries.append(WordIndexEntry(lemma, tuple(offsets)))
+    for line_no, line in utf8_lines(path):
+        if line.startswith("  "):
+            continue
+        fields = line.split()
+        if not fields:
+            continue
+        try:
+            lemma = fields[0]
+            synset_cnt = int(fields[2])
+            p_cnt = int(fields[3])
+            offsets = fields[6 + p_cnt:]
+            if len(offsets) != synset_cnt:
+                raise ValueError(
+                    f"expected {synset_cnt} sense offsets, found {len(offsets)}")
+        except (IndexError, ValueError) as exc:
+            raise MalformedLine(path, line_no, str(exc)) from None
+        for o in offsets:
+            if o not in known_offsets:
+                raise DanglingPointer(lemma, "index", o)
+        entries.append(WordIndexEntry(lemma, tuple(offsets)))
     return entries
 
 
@@ -176,35 +183,35 @@ def parse_edgelist(path) -> RawGraph:
 
     Lines starting with ``#`` are comments; an optional ``!root <label>``
     line pins the root node.  Duplicate edges are dropped with a warning.
+    A line that is not UTF-8 raises ``MalformedLine``.
     """
     if not os.path.isfile(path):
         raise MissingFile(f"edge list not found: {path}")
     parents: dict[SynsetId, list[SynsetId]] = {}
     pinned_root = None
     seen_edges: set[tuple[str, str]] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            if line.startswith("!root"):
-                fields = line.split()
-                if len(fields) != 2:
-                    raise MalformedLine(path, line_no, "expected '!root <label>'")
-                pinned_root = fields[1]
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2 or not fields[0].strip() or not fields[1].strip():
-                raise MalformedLine(path, line_no,
-                                    "expected 'child<TAB>parent', got " + repr(line))
-            child, parent = fields[0].strip(), fields[1].strip()
-            if (child, parent) in seen_edges:
-                log.warning("%s:%d: duplicate edge %s -> %s dropped",
-                            path, line_no, child, parent)
-                continue
-            seen_edges.add((child, parent))
-            parents.setdefault(parent, [])
-            parents.setdefault(child, []).append(parent)
+    for line_no, line in utf8_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip() or line.startswith("#"):
+            continue
+        if line.startswith("!root"):
+            fields = line.split()
+            if len(fields) != 2:
+                raise MalformedLine(path, line_no, "expected '!root <label>'")
+            pinned_root = fields[1]
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2 or not fields[0].strip() or not fields[1].strip():
+            raise MalformedLine(path, line_no,
+                                "expected 'child<TAB>parent', got " + repr(line))
+        child, parent = fields[0].strip(), fields[1].strip()
+        if (child, parent) in seen_edges:
+            log.warning("%s:%d: duplicate edge %s -> %s dropped",
+                        path, line_no, child, parent)
+            continue
+        seen_edges.add((child, parent))
+        parents.setdefault(parent, [])
+        parents.setdefault(child, []).append(parent)
     return RawGraph(parents=parents, pinned_root=pinned_root)
 
 

@@ -67,16 +67,31 @@ def diamond() -> Taxonomy:
 
 
 @st.composite
-def dags(draw, max_nodes=25):
-    """A random DAG: node i points at up to three earlier nodes, so extra
-    parentless nodes exercise freeze's synthetic root."""
+def raw_dags(draw, max_nodes=25):
+    """A random DAG as ``(RawGraph, depth_mode)``: node i points at up to
+    three earlier nodes, so extra parentless nodes exercise freeze's
+    synthetic root."""
     n = draw(st.integers(1, max_nodes))
     parents = {"n00": []}
     for i in range(1, n):
         earlier = [f"n{j:02d}" for j in range(i)]
         parents[f"n{i:02d}"] = draw(st.lists(st.sampled_from(earlier), max_size=3,
                                              unique=True))
-    return build(parents, depth_mode=draw(st.sampled_from(["min", "max"])))
+    return RawGraph(parents=parents), draw(st.sampled_from(["min", "max"]))
+
+
+def dags(max_nodes=25):
+    """A random DAG from :func:`raw_dags`, frozen in its drawn depth mode."""
+    return raw_dags(max_nodes).map(lambda drawn: freeze(drawn[0], depth_mode=drawn[1]))
+
+
+def word_indexes(ids):
+    """A word index over ``ids``: up to six words, each with one to three
+    distinct senses in drawn order."""
+    # mostly findable words, plus separators other than "\n" and non-ASCII
+    words = st.text(st.sampled_from("ab_\u00e9 A\r\x85\u2028"), min_size=1, max_size=4)
+    return st.dictionaries(words, st.lists(st.sampled_from(sorted(ids)), min_size=1,
+                                           max_size=3, unique=True).map(tuple), max_size=6)
 
 
 def random_raw_graph(rng: random.Random, max_nodes: int = 50,

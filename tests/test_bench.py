@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from semsim.bench import (FULL_GRID, BenchmarkDataset, evaluate, grid_report,
                           load_dataset, pearson)
 from semsim.errors import (AllPairsSkipped, EmptyDataset, LengthMismatch,
-                           MalformedRow, MissingFile, ZeroVariance)
+                           MalformedLine, MalformedRow, MissingFile, ZeroVariance)
 from semsim.ic import ICModelId, ic_table
 from semsim.similarity import SimMeasureId, word_similarity
 from semsim.taxonomy import RawGraph, freeze
@@ -105,6 +105,14 @@ class TestLoadDataset:
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFile):
             load_dataset(tmp_path / "absent.tsv")
+
+    def test_not_utf8(self, tmp_path):
+        p = tmp_path / "latin1.tsv"
+        p.write_bytes("w1\tw2\tscore\ncaf\u00e9\tbar\t3.0\n".encode("latin-1"))
+        with pytest.raises(MalformedLine) as err:
+            load_dataset(p)
+        assert err.value.line_no == 2
+        assert str(err.value).startswith(f"{p}:2: not UTF-8")
 
 
 @pytest.fixture

@@ -1,16 +1,25 @@
 """End-to-end CLI behavior through main(argv)."""
 
 import json
+import os
 import pickle
+import sys
+import tempfile
+from array import array
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semsim import cli
 from semsim.cli import main
+from semsim.ic import ICModelId, ic_table
+from semsim.similarity import SimMeasureId, word_similarity
 from semsim.taxonomy import freeze
 from semsim.wordnet import parse_edgelist
 
-from conftest import DATA, FIXTURES, write_wordnet
+from conftest import DATA, FIXTURES, raw_dags, word_indexes, write_wordnet
+from test_golden_digest import CONFIGS, outcome
 
 CHAIN = ["--edgelist", str(FIXTURES / "chain.tsv")]
 
@@ -58,6 +67,12 @@ class TestUsage:
                            "--measure", "lin", "mid", "ghost")
         assert code == 1
         assert "ghost" in err
+
+    def test_edgelist_not_utf8_exits_1(self, capsys, tmp_path):
+        edges = tmp_path / "x.tsv"
+        edges.write_bytes(b"a\tb\n\xff\tc\n")
+        assert run(capsys, "--edgelist", str(edges), "stats") == (
+            1, "", f"semsim: {edges}:2: not UTF-8: invalid start byte at byte 0 of the line\n")
 
     def test_unknown_word_message_is_not_quoted_twice(self, capsys):
         code, _, err = run(capsys, *CHAIN, "sim", "--ic", "seco", "--measure", "lin",
@@ -244,34 +259,88 @@ class TestWordNetCli:
         assert "pearson: 0.86" in out
 
 
-class TestSnapshotCache:
-    def test_snapshot_cache_round_trip(self, capsys, wordnet_db, tmp_path):
-        cache = tmp_path / "wn.snapshot"
-        args = ("--wordnet", wordnet_db, "--cache", str(cache), "stats")
-        code1, out1, _ = run(capsys, *args)
-        assert code1 == 0 and cache.exists()
-        code2, out2, _ = run(capsys, *args)
-        assert code2 == 0 and out2 == out1
-        fingerprint = pickle.loads(cache.read_bytes())["fingerprint"]
-        for junk in (b"corrupt", b"\x80\x04\x95" + b"\xff" * 8, pickle.dumps([1, 2, 3]),
-                     pickle.dumps({"fingerprint": fingerprint, "taxonomy": "junk"})):
-            cache.write_bytes(junk)
-            code3, out3, err3 = run(capsys, *args)  # bad snapshot falls back to parsing
-            assert (code3, out3, err3) == (0, out1, "")
+def rewrite_header(snapshot: bytes, **changes) -> bytes:
+    """The snapshot with some header fields replaced."""
+    end = snapshot.index(b"\n")
+    header = json.loads(snapshot[:end])
+    header.update(changes)
+    return json.dumps(header).encode() + snapshot[end:]
 
-    def test_snapshot_of_another_format_is_rebuilt(self, capsys, wordnet_db, tmp_path,
-                                                  monkeypatch):
+
+class TestSnapshotCache:
+    @pytest.fixture
+    def cached(self, capsys, wordnet_db, tmp_path):
+        """The stats args over a warm cache, their output and the snapshot."""
         cache = tmp_path / "wn.snapshot"
         args = ("--wordnet", wordnet_db, "--cache", str(cache), "stats")
-        _, parsed, _ = run(capsys, *args)
-        snapshot = pickle.loads(cache.read_bytes())
-        snapshot["taxonomy"] = freeze(parse_edgelist(FIXTURES / "chain.tsv"))
-        cache.write_bytes(pickle.dumps(snapshot))
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        return cache, args, out, cache.read_bytes()
+
+    def assert_rebuilt(self, capsys, cached, junk: bytes):
+        cache, args, out, good = cached
+        cache.write_bytes(junk)
+        assert run(capsys, *args) == (0, out, "")
+        assert cache.read_bytes() == good  # a served snapshot is never rewritten
+
+    def test_snapshot_cache_round_trip(self, capsys, cached):
+        cache, args, out, good = cached
+        header = json.loads(good[:good.index(b"\n")])
+        assert header["format"] == cli.SNAPSHOT_FORMAT.decode() == "semsim-taxonomy-2"
+        assert cache.stat().st_mode & 0o777 == 0o600
+        assert run(capsys, *args) == (0, out, "")
+        assert cache.read_bytes() == good
+        # corrupt bytes, truncated sections and payloads of the wrong type
+        for junk in (b"corrupt", good[:len(good) // 2], good[:-1], b"[1, 2, 3]\n" + good,
+                     rewrite_header(good, sections="junk"),
+                     rewrite_header(good, constants=[1, 2]),
+                     rewrite_header(good, root=None)):
+            self.assert_rebuilt(capsys, cached, junk)
+
+    def test_snapshot_of_another_format_is_rebuilt(self, capsys, cached, monkeypatch):
+        cache, args, parsed, good = cached
+        header = json.loads(good[:good.index(b"\n")])
+        chain = freeze(parse_edgelist(FIXTURES / "chain.tsv"))
+        cache.write_bytes(b"".join(cli._snapshot_chunks(chain, header["fingerprint"])))
         _, served, _ = run(capsys, *args)
         assert served != parsed  # a matching fingerprint is served as stored
         monkeypatch.setattr(cli, "SNAPSHOT_FORMAT", b"another layout")
         _, rebuilt, _ = run(capsys, *args)
         assert rebuilt == parsed
+
+    def test_pickle_snapshot_is_rebuilt_unread(self, capsys, cached, tmp_path):
+        # the format before the flat one was a pickle; one that would run
+        # code when unpickled must be rebuilt without running it
+        marker = tmp_path / "unpickled"
+
+        class Trap:
+            def __reduce__(self):
+                return (Path.touch, (marker,))
+        fingerprint = json.loads(cached[3][:cached[3].index(b"\n")])["fingerprint"]
+        self.assert_rebuilt(capsys, cached,
+                            pickle.dumps({"fingerprint": fingerprint, "taxonomy": Trap()}))
+        assert not marker.exists()
+
+    @pytest.mark.parametrize("item, value", [
+        (0, lambda nodes: nodes),  # the first parent row: one past the last node
+        (-1, lambda nodes: 0),     # the last parent offset: short of the flat length
+    ])
+    def test_columns_that_do_not_fit_are_rebuilt(self, capsys, cached, item, value):
+        # same sizes and a matching fingerprint; only the taxonomy's checks catch it
+        good, size = cached[3], array("l").itemsize
+        header_end = good.index(b"\n") + 1
+        sections = json.loads(good[:header_end])["sections"]
+        nodes = sections[0] - 1  # parent_start has one offset per node, plus one
+        at = header_end + (sections[0] + item) * size
+        junk = good[:at] + array("l", [value(nodes)]).tobytes() + good[at + size:]
+        self.assert_rebuilt(capsys, cached, junk)
+
+    def test_flipped_byte_order_is_rebuilt(self, capsys, cached):
+        other = "big" if sys.byteorder == "little" else "little"
+        self.assert_rebuilt(capsys, cached, rewrite_header(cached[3], byteorder=other))
+
+    def test_size_differing_from_header_is_rebuilt(self, capsys, cached):
+        self.assert_rebuilt(capsys, cached, cached[3] + b"\0")
 
     def test_failed_write_keeps_earlier_snapshot(self, capsys, wordnet_db, tmp_path,
                                                  monkeypatch):
@@ -281,10 +350,10 @@ class TestSnapshotCache:
         earlier = cache.read_bytes()
         _, parsed, _ = run(capsys, "--wordnet", wordnet_db, "stats")
 
-        def full_disk(obj, fh, protocol=None):
-            fh.write(b"half a snapshot")
+        def full_disk(t, fingerprint):
+            yield b"half a snapshot"
             raise OSError(28, "No space left on device")
-        monkeypatch.setattr(pickle, "dump", full_disk)
+        monkeypatch.setattr(cli, "_snapshot_chunks", full_disk)
         assert run(capsys, *args) == (0, parsed, "")
         assert cache.read_bytes() == earlier
         assert sorted(p.name for p in tmp_path.iterdir()) == ["wn.snapshot", "wordnet"]
@@ -293,3 +362,48 @@ class TestSnapshotCache:
         assert run(capsys, *args) == (0, parsed, "")
         assert cache.read_bytes() != earlier
         assert sorted(p.name for p in tmp_path.iterdir()) == ["wn.snapshot", "wordnet"]
+
+    @pytest.mark.parametrize("name", ["data.noun", "index.noun"])
+    def test_cache_naming_a_source_exits_2(self, capsys, wordnet_db, tmp_path, name):
+        source = Path(wordnet_db) / name
+        alias = tmp_path / "alias"
+        alias.symlink_to(source)
+        before = source.read_bytes()
+        for cache in (source, alias):
+            code, out, err = run(capsys, "--wordnet", wordnet_db, "--cache", str(cache),
+                                 "stats")
+            assert (code, out) == (2, "")
+            assert err.splitlines()[-1] == \
+                f"semsim: error: --cache names a WordNet source file: {cache}"
+            assert source.read_bytes() == before
+        assert sorted(p.name for p in Path(wordnet_db).iterdir()) == ["data.noun",
+                                                                      "index.noun"]
+        assert run(capsys, "--wordnet", wordnet_db, "stats")[0] == 0
+
+
+class TestSnapshotFormat:
+    @settings(max_examples=60, deadline=None)
+    @given(raw_dags(), st.data())
+    def test_write_then_read_gives_the_same_taxonomy(self, drawn, data):
+        raw, depth_mode = drawn
+        index = data.draw(word_indexes(freeze(raw).nodes))
+        t = freeze(raw, depth_mode=depth_mode, word_index=index)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "snapshot")
+            cli._write_snapshot(path, t, "fingerprint")
+            back = cli._read_snapshot(path, "fingerprint")
+        assert (back.root, back.constants) == (t.root, t.constants)
+        for view in ("nodes", "stats", "word_index"):
+            assert [(k, repr(v)) for k, v in getattr(back, view).items()] == \
+                [(k, repr(v)) for k, v in getattr(t, view).items()]
+        words = list(index) + ["absent"]
+        for cfg in CONFIGS:
+            for model in ICModelId:
+                tables = [ic_table(x, model, cfg) for x in (t, back)]
+                assert [repr(tables[1][c]) for c in t.nodes] == \
+                    [repr(tables[0][c]) for c in t.nodes]
+                for measure in SimMeasureId:
+                    for a in words:
+                        for b in words:
+                            assert outcome(word_similarity, back, tables[1], measure, a, b) \
+                                == outcome(word_similarity, t, tables[0], measure, a, b)

@@ -18,10 +18,10 @@ from hypothesis import given, settings, strategies as st
 from semsim.errors import UnboundedIC, UnknownSynset
 from semsim.ic import ICConfig, ICModelId, ic_table
 from semsim.similarity import SimMeasureId, word_similarity
-from semsim.taxonomy import Taxonomy
+from semsim.taxonomy import freeze
 from semsim.wordnet import parse_edgelist
 
-from conftest import FIXTURES, brute_closure, build, dags
+from conftest import FIXTURES, brute_closure, build, dags, raw_dags
 
 LN = math.log
 ALL_MODELS = list(ICModelId)
@@ -340,13 +340,14 @@ class TestLazyFill:
             assert repr(top) == repr(max(table[c] for c in t.nodes))
 
     @settings(max_examples=60, deadline=None)
-    @given(dags(), st.sampled_from(ALL_MODELS), st.data())
-    def test_word_similarity_fills_only_subsumers(self, t, model, data):
+    @given(raw_dags(), st.sampled_from(ALL_MODELS), st.data())
+    def test_word_similarity_fills_only_subsumers(self, drawn, model, data):
         # two polysemous words over the drawn DAG
-        ids = sorted(t.nodes)
+        raw, depth_mode = drawn
+        ids = sorted(freeze(raw).nodes)
         senses = st.lists(st.sampled_from(ids), min_size=1, max_size=3, unique=True)
         index = {"one": tuple(data.draw(senses)), "two": tuple(data.draw(senses))}
-        t = Taxonomy(dict(t.nodes), t.root, dict(t.stats), t.constants, index)
+        t = freeze(raw, depth_mode=depth_mode, word_index=index)
         reach1 = set().union(*(t.subsumers(c) for c in index["one"]))
         reach2 = set().union(*(t.subsumers(c) for c in index["two"]))
         for measure in SimMeasureId:

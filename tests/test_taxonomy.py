@@ -1,13 +1,15 @@
 """Structure, statistics and invariants of the frozen taxonomy."""
 
 import random
+from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semsim.errors import CycleDetected, EmptyGraph, UnknownSynset
-from semsim.taxonomy import RawGraph, SYNTHETIC_ROOT, freeze
+from semsim.taxonomy import RawGraph, SYNTHETIC_ROOT, Taxonomy, freeze
 
-from conftest import brute_closure, build, random_taxonomy
+from conftest import brute_closure, build, random_taxonomy, raw_dags
 
 
 class TestFreeze:
@@ -190,6 +192,19 @@ class TestRandomDagProperties:
                 else:
                     assert t.stats[node].nmih == 0
 
+    @settings(max_examples=150, deadline=None)
+    @given(raw_dags(), st.randoms(use_true_random=False))
+    def test_freeze_ignores_the_order_of_its_input(self, drawn, rnd):
+        raw, depth_mode = drawn
+        items = [(n, rnd.sample(ps, len(ps))) for n, ps in raw.parents.items()]
+        rnd.shuffle(items)
+        t = freeze(raw, depth_mode=depth_mode)
+        shuffled = freeze(RawGraph(parents=dict(items)), depth_mode=depth_mode)
+        assert (shuffled.root, shuffled.constants) == (t.root, t.constants)
+        for view in ("nodes", "stats", "word_index"):
+            assert {k: repr(v) for k, v in getattr(shuffled, view).items()} == \
+                {k: repr(v) for k, v in getattr(t, view).items()}
+
     def test_insertion_order_does_not_matter(self):
         rng = random.Random(23)
         for _ in range(10):
@@ -201,3 +216,35 @@ class TestRandomDagProperties:
             assert shuffled.constants == t.constants
             for node in t.nodes:
                 assert shuffled.subsumers(node) == t.subsumers(node)
+
+
+class TestColumns:
+    @pytest.fixture
+    def parts(self):
+        t = freeze(RawGraph(parents={"r": [], "a": ["r"], "b": ["r", "a"]}),
+                   word_index={"x": ["a"], "y": ["b", "r"]})
+        return dict(ids=t.ids, lemmas=t.lemmas, words=t.words, columns=t.columns,
+                    root=t.root, constants=t.constants)
+
+    def test_parts_build_the_same_taxonomy(self, parts):
+        t = Taxonomy(**parts)
+        assert list(t.nodes) == ["r", "a", "b"] and t.nodes["b"].parents == ("a", "r")
+        assert t.stats["r"].hypo_count == 2 and t.senses("y") == ("b", "r")
+
+    @pytest.mark.parametrize("change", [
+        lambda p: dict(p, ids=("r", "a", "r")),
+        lambda p: dict(p, words=("x", "x")),
+        lambda p: dict(p, root="ghost"),
+        lambda p: dict(p, lemmas=p["lemmas"][:-1]),
+        lambda p: dict(p, columns=p["columns"]._replace(sense_rows=array("l", [0, 1, 3]))),
+        lambda p: dict(p, columns=p["columns"]._replace(sense_rows=array("l", [0, -1, 1]))),
+        lambda p: dict(p, columns=p["columns"]._replace(sense_start=array("l", [0, 3]))),
+        lambda p: dict(p, columns=p["columns"]._replace(child_start=array("l", [0, 2, 3, 4]))),
+        lambda p: dict(p, columns=p["columns"]._replace(depth=array("l", [0, 1]))),
+        lambda p: dict(p, columns=p["columns"]._replace(nmih=array("d", [0, 1, 2]))),
+    ], ids=["duplicate id", "duplicate word", "unknown root", "lemmas short of offsets",
+            "row past the last node", "negative row", "one sense offset short",
+            "offsets past the flat list", "short stats column", "float nmih"])
+    def test_columns_that_do_not_fit_are_rejected(self, parts, change):
+        with pytest.raises(ValueError):
+            Taxonomy(**change(parts))

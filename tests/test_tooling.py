@@ -31,6 +31,24 @@ def test_package_imports_only_the_standard_library():
     assert not foreign
 
 
+def test_package_deserializes_no_code():
+    # the --cache snapshot is read from a user-supplied path, so no module
+    # may use a deserializer that can run code or build arbitrary objects
+    sources = sorted((REPO / "src" / "semsim").glob("*.py"))
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] in ("pickle", "marshal", "shelve", "_pickle")]
+    assert not found
+
+
 def test_pyproject_declares_no_dependencies():
     text = (REPO / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)

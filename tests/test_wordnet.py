@@ -29,16 +29,18 @@ class TestDataNoun:
         assert t.root == synset_id(offsets[0])
         assert t.depth(synset_id(offsets[2])) == 2
 
-    def test_instance_pointer_merged_and_flagged(self, tmp_path):
+    def test_instance_pointer_becomes_parent(self, tmp_path):
         synsets = [
             (["mountain"], [("~i", 1, "n")]),
             (["everest"], [("@i", 0, "n")]),
         ]
         offsets = write_wordnet(tmp_path, synsets)
         raw, _ = parse_wordnet(tmp_path)
-        assert raw.parents[synset_id(offsets[1])] == [synset_id(offsets[0])]
-        assert synset_id(offsets[1]) in raw.instance_ids
-        assert synset_id(offsets[0]) not in raw.instance_ids
+        mountain, everest = synset_id(offsets[0]), synset_id(offsets[1])
+        assert raw.parents == {mountain: [], everest: [mountain]}
+        t = freeze(raw)
+        assert t.nodes[everest].parents == (mountain,)
+        assert t.nodes[mountain].children == (everest,)
 
     def test_cross_pos_pointers_ignored(self, tmp_path):
         synsets = [
@@ -96,6 +98,27 @@ class TestDataNoun:
         with pytest.raises(MalformedLine):
             parse_wordnet(tmp_path)
 
+    def test_data_noun_not_utf8(self, tmp_path):
+        # a Latin-1 lemma keeps the byte length, so the offsets still match
+        write_wordnet(tmp_path, CHAIN)
+        data = (tmp_path / "data.noun").read_bytes()
+        organism = data.index(b"\n", len(HEADER)) + 1  # the second synset line
+        (tmp_path / "data.noun").write_bytes(data.replace(b"organism", b"organ\xefsm"))
+        with pytest.raises(MalformedLine) as err:
+            parse_wordnet(tmp_path)
+        assert (err.value.line_no, err.value.byte_offset) == (4, organism)
+        assert str(err.value).startswith(f"{tmp_path / 'data.noun'}:4 (byte {organism}): "
+                                         "not UTF-8")
+
+    def test_index_noun_not_utf8(self, tmp_path):
+        write_wordnet(tmp_path, CHAIN)
+        index = (tmp_path / "index.noun").read_bytes()
+        (tmp_path / "index.noun").write_bytes(index.replace(b"organism", b"organ\xff", 1))
+        with pytest.raises(MalformedLine) as err:
+            parse_wordnet(tmp_path)
+        assert err.value.line_no == 4 and err.value.byte_offset is None
+        assert str(err.value).startswith(f"{tmp_path / 'index.noun'}:4: not UTF-8")
+
 
 class TestSenses:
     def test_lookup_and_normalization(self, tmp_path):
@@ -106,6 +129,14 @@ class TestSenses:
         assert t.senses("ORGANISM") == t.senses("organism")
         assert t.senses("cell phone") == t.senses("cell_phone")
         assert t.senses("zzzz-not-a-word") == ()
+
+    def test_sense_tuple_is_built_once(self, tmp_path):
+        offsets = write_wordnet(tmp_path, CHAIN)
+        raw, index = parse_wordnet(tmp_path)
+        t = freeze(raw, word_index=index)
+        first = t.senses("Cell phone")
+        assert first == (synset_id(offsets[2]),)
+        assert t.senses("cell_phone") is first and t.word_index["cell_phone"] is first
 
     def test_order_follows_index_file(self, tmp_path):
         synsets = [(["entity"], []),
@@ -152,6 +183,13 @@ class TestEdgeList:
         with pytest.raises(MalformedLine) as err:
             parse_edgelist(p)
         assert err.value.line_no == 1
+
+    def test_not_utf8(self, tmp_path):
+        p = tmp_path / "toy.tsv"
+        p.write_bytes(b"a\tb\n\xff\tc\n")
+        with pytest.raises(MalformedLine) as err:
+            parse_edgelist(p)
+        assert str(err.value) == f"{p}:2: not UTF-8: invalid start byte at byte 0 of the line"
 
     def test_empty_file_propagates_empty_graph(self, tmp_path):
         p = tmp_path / "toy.tsv"
