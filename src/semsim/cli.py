@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -29,7 +30,7 @@ from .wordnet import default_wordnet_dir, parse_edgelist, parse_wordnet
 # whenever the snapshot layout, the Taxonomy columns or what freeze stores
 # in them changes, so that snapshots written by another layout are rebuilt
 # instead of served.
-SNAPSHOT_FORMAT = b"semsim-taxonomy-2"
+SNAPSHOT_FORMAT = b"semsim-taxonomy-3"
 
 
 class UsageError(Exception):
@@ -359,8 +360,8 @@ def cmd_eval(args) -> int:
     table = ic_table(t, args.ic, cfg)
     result = bench.evaluate(t, dataset, table, args.measure, args.lcs_mode)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(result.to_json_obj(), indent=2, sort_keys=True) + "\n")
+        _write_report(args.json, json.dumps(result.to_json_obj(), indent=2, sort_keys=True)
+                      + "\n")
     if args.format == "json":
         _emit_json(result.to_json_obj())
         return 0
@@ -394,36 +395,63 @@ def cmd_grid(args) -> int:
     if not args.full and not args.combos:
         raise UsageError("grid: pass --full or --combos")
     cfg = _ic_config(args)
+    expectations = _read_golden(args.golden) if args.golden else []
     t = load_taxonomy(args)
     dataset = bench.load_dataset(args.dataset)
     combos = list(bench.FULL_GRID) if args.full else _parse_combos(args.combos)
     report = bench.grid_report(t, dataset, combos, cfg, args.lcs_mode,
                                with_literature=args.literature)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+        _write_report(args.json, report.to_json())
     if args.format == "json":
         print(report.to_json(), end="")
     else:
         print(report.to_tsv(), end="")
-    if args.golden:
-        with open(args.golden, "r", encoding="utf-8") as fh:
+    computed = {(str(r.ic_model), str(r.measure)): r.pearson for r in report.results}
+    failures = 0
+    for want in expectations:
+        key = (want["ic_model"], want["measure"])
+        tol = want.get("tol", 0.0)
+        got = computed.get(key)
+        if got is None or abs(got - want["pearson"]) > tol + 1e-12:
+            failures += 1
+            print(f"golden miss: {key[0]}:{key[1]} expected "
+                  f"{want['pearson']:.2f}+-{tol:.2f}, got "
+                  f"{'absent' if got is None else format(got, '.2f')}",
+                  file=sys.stderr)
+    return 1 if failures else 0
+
+
+def _read_golden(path: str) -> list:
+    """The expectations of a ``--golden`` file: a JSON list of objects with
+    string ``ic_model`` and ``measure``, a finite number ``pearson`` and
+    an optional finite number ``tol``.  Raises ``SemsimError`` for any
+    other file (a NaN ``pearson`` would pass every comparison)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             expectations = json.load(fh)
-        computed = {(str(r.ic_model), str(r.measure)): r.pearson for r in report.results}
-        failures = 0
-        for want in expectations:
-            key = (want["ic_model"], want["measure"])
-            tol = want.get("tol", 0.0)
-            got = computed.get(key)
-            if got is None or abs(got - want["pearson"]) > tol + 1e-12:
-                failures += 1
-                print(f"golden miss: {key[0]}:{key[1]} expected "
-                      f"{want['pearson']:.2f}+-{tol:.2f}, got "
-                      f"{'absent' if got is None else format(got, '.2f')}",
-                      file=sys.stderr)
-        if failures:
-            return 1
-    return 0
+    except OSError as exc:
+        raise SemsimError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise SemsimError(f"{path}: not JSON: {exc}") from None
+
+    def number(x) -> bool:
+        return type(x) in (int, float) and math.isfinite(x)
+    if not (isinstance(expectations, list) and all(
+            isinstance(w, dict) and isinstance(w.get("ic_model"), str)
+            and isinstance(w.get("measure"), str) and number(w.get("pearson"))
+            and number(w.get("tol", 0.0)) for w in expectations)):
+        raise SemsimError(f"{path}: expected a list of {{ic_model, measure, pearson[, tol]}}"
+                          " objects")
+    return expectations
+
+
+def _write_report(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SemsimError(f"cannot write {path}: {exc.strerror}") from None
 
 
 _COMMANDS = {

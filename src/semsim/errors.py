@@ -9,6 +9,10 @@ class EmptyGraph(SemsimError):
     """Raised when a taxonomy is built from zero nodes."""
 
 
+class PinnedRootHasParents(SemsimError, ValueError):
+    """Raised when the node pinned as the root has parents of its own."""
+
+
 class CycleDetected(SemsimError):
     """Raised when the hypernym edge set is not acyclic.
 

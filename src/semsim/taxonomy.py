@@ -11,17 +11,17 @@ the deepest-common-subsumer rule in the similarity layer depends on it.
 
 Columns.  Each node has a row, its position in ``Taxonomy.ids``, and each
 word of the index a position in ``Taxonomy.words``.  Everything else sits
-in the flat arrays of :class:`Columns`: the parents, children and lemmas
-of a node and the senses of a word as CSR lists (an offsets array plus
-one flat array), and the eight :class:`NodeStats` fields as one array
-each.  ``Taxonomy.row`` maps an id to its row.  The hot paths (the
-subsumer walk, the IC kernels, the LCS and DCS rules) read the columns,
-and the CLI snapshot is a dump of them.
+in the flat arrays of :class:`Columns`: the parents and lemmas of a node
+and the senses of a word as CSR lists (an offsets array plus one flat
+array), and the eight :class:`NodeStats` fields as one array each.
+``Taxonomy.row`` maps an id to its row.  The hot paths (the subsumer
+walk, the IC kernels, the LCS and DCS rules) read the columns, and the
+CLI snapshot is a dump of them.
 
 Views.  ``nodes``, ``stats`` and ``word_index`` are read-only mappings for
 the API edge.  Iterating one, taking its length or testing membership
 builds nothing, but each value read is built on the spot: a
-:class:`Synset` (three tuples) or a :class:`NodeStats`, so a loop over
+:class:`Synset` (two tuples) or a :class:`NodeStats`, so a loop over
 all values of ``nodes`` or ``stats`` allocates one object per node.  A
 word's sense tuple is the exception: ``word_index`` and
 :meth:`Taxonomy.senses` build it on the word's first read and share it
@@ -31,13 +31,12 @@ from then on.
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Callable, Iterable, NamedTuple
 
-from .errors import CycleDetected, EmptyGraph, UnknownSynset
+from .errors import CycleDetected, EmptyGraph, PinnedRootHasParents, UnknownSynset
 
 # Synset ids are opaque strings with a total lexicographic order.  WordNet
 # ids look like "02958343-n"; toy ontologies use the node label itself.
@@ -50,14 +49,13 @@ SYNTHETIC_ROOT = "__root__"
 class Synset:
     """One concept node of the taxonomy, as the ``nodes`` view builds it.
 
-    ``parents``/``children`` carry plain and instance hypernym edges merged
-    into a single DAG, each sorted by id.
+    ``parents`` carries plain and instance hypernym edges merged into a
+    single DAG, sorted by id.
     """
 
     id: SynsetId
     lemmas: tuple[str, ...]
     parents: tuple[SynsetId, ...]
-    children: tuple[SynsetId, ...]
 
 
 @dataclass(frozen=True)
@@ -112,18 +110,16 @@ class Columns(NamedTuple):
     """The arrays of a frozen taxonomy, in the order a snapshot stores them.
 
     A CSR list keeps the items of entry ``i`` at
-    ``flat[start[i]:start[i + 1]]``.  There are four: the parent rows and
-    the child rows of each node (each sorted by id), the lemmas of each
-    node (the flat list is ``Taxonomy.lemmas``) and the sense rows of each
-    word (in ``Taxonomy.words`` order, senses in index order).  The last
-    eight arrays are the :class:`NodeStats` fields by row.  All are
-    ``'l'`` arrays except the two float sums, which are ``'d'``.
+    ``flat[start[i]:start[i + 1]]``.  There are three: the parent rows of
+    each node (sorted by id), the lemmas of each node (the flat list is
+    ``Taxonomy.lemmas``) and the sense rows of each word (in
+    ``Taxonomy.words`` order, senses in index order).  The last eight
+    arrays are the :class:`NodeStats` fields by row.  All are ``'l'``
+    arrays except the two float sums, which are ``'d'``.
     """
 
     parent_start: array
     parent_rows: array
-    child_start: array
-    child_rows: array
     lemma_start: array
     sense_start: array
     sense_rows: array
@@ -229,8 +225,7 @@ class Taxonomy:
     def _synset(self, synset_id: SynsetId, r: int) -> Synset:
         c = self.columns
         return Synset(synset_id, self.lemmas[c.lemma_start[r]:c.lemma_start[r + 1]],
-                      self._ids_at(c.parent_start, c.parent_rows, r),
-                      self._ids_at(c.child_start, c.child_rows, r))
+                      self._ids_at(c.parent_start, c.parent_rows, r))
 
     def _node_stats(self, synset_id: SynsetId, r: int) -> NodeStats:
         return NodeStats(*[getattr(self.columns, name)[r] for name in STAT_FIELDS])
@@ -284,12 +279,12 @@ def _check_columns(c: Columns, n: int, n_lemmas: int, n_words: int) -> None:
     lemmas and ``n_words`` words (see :class:`Taxonomy`)."""
     if tuple(col.typecode for col in c) != TYPECODES:
         raise ValueError("column typecodes do not match the layout")
-    lists = ((c.parent_start, len(c.parent_rows), n), (c.child_start, len(c.child_rows), n),
-             (c.lemma_start, n_lemmas, n), (c.sense_start, len(c.sense_rows), n_words))
+    lists = ((c.parent_start, len(c.parent_rows), n), (c.lemma_start, n_lemmas, n),
+             (c.sense_start, len(c.sense_rows), n_words))
     for start, total, entries in lists:
         if len(start) != entries + 1 or start[0] != 0 or start[-1] != total:
             raise ValueError("CSR counts do not sum to the length of their flat list")
-    for rows in (c.parent_rows, c.child_rows, c.sense_rows):
+    for rows in (c.parent_rows, c.sense_rows):
         if rows and not (min(rows) >= 0 and max(rows) < n):
             raise ValueError("row index out of range")
     if any(len(getattr(c, name)) != n for name in STAT_FIELDS):
@@ -298,12 +293,7 @@ def _check_columns(c: Columns, n: int, n_lemmas: int, n_words: int) -> None:
 
 def _offsets(lists) -> array:
     """CSR offsets of a sequence of lists."""
-    start = array("l", [0])
-    total = 0
-    for items in lists:
-        total += len(items)
-        start.append(total)
-    return start
+    return array("l", accumulate(map(len, lists), initial=0))
 
 
 def freeze(raw: RawGraph, depth_mode: str = "min",
@@ -316,9 +306,17 @@ def freeze(raw: RawGraph, depth_mode: str = "min",
     ``word_index``, each lemma (lowercased) indexes the nodes that carry
     it, in id order.
 
+    After the root is settled every node is a row.  One pass over the rows
+    in topological order builds each node's strict ancestors from its
+    parents' and walks them once, so every statistic, the descendant
+    counts included, comes from that single closure.  The two reciprocal
+    sums are bucketed per node by depth or subsumer count and summed in
+    ascending bucket order, which makes them independent of set order.
+
     Raises ``EmptyGraph`` for zero nodes, ``CycleDetected`` (with one
     offending cycle) when the hypernym edges are not acyclic and
-    ``UnknownSynset`` for a parent or a word sense that is not a node.
+    ``UnknownSynset`` for a parent or a word sense that is not a node,
+    ``PinnedRootHasParents`` when the pinned root is not parentless.
     """
     if depth_mode not in ("min", "max"):
         raise ValueError(f"depth_mode must be 'min' or 'max', got {depth_mode!r}")
@@ -337,7 +335,7 @@ def freeze(raw: RawGraph, depth_mode: str = "min",
     orphans = sorted(n for n, ps in parents.items() if not ps)
     if pinned is not None:
         if parents[pinned]:
-            raise ValueError(f"pinned root {pinned!r} has parents")
+            raise PinnedRootHasParents(f"pinned root {pinned!r} has parents")
         for n in orphans:
             if n != pinned:
                 parents[n] = [pinned]
@@ -353,89 +351,63 @@ def freeze(raw: RawGraph, depth_mode: str = "min",
         # no parentless node: every node sits on a cycle
         raise CycleDetected(_find_cycle(parents))
 
-    children: dict[SynsetId, list[SynsetId]] = {n: [] for n in parents}
-    for node in sorted(parents):
-        for p in parents[node]:
-            children[p].append(node)
-
-    # reverse-topological order (children before parents) via Kahn
-    pending = {n: len(children[n]) for n in parents}
-    queue = deque(sorted(n for n, d in pending.items() if d == 0))
-    order: list[SynsetId] = []
-    while queue:
-        node = queue.popleft()
-        order.append(node)
-        for p in parents[node]:
-            pending[p] -= 1
-            if pending[p] == 0:
-                queue.append(p)
-    if len(order) != len(parents):
-        raise CycleDetected(_find_cycle(parents, skip=set(order)))
-
-    depth_min = {root: 0}
-    bfs = deque((root,))
-    while bfs:
-        node = bfs.popleft()
-        for c in children[node]:
-            if c not in depth_min:
-                depth_min[c] = depth_min[node] + 1
-                bfs.append(c)
-
-    depth_longest: dict[SynsetId, int] = {}
-    for node in reversed(order):  # parents before children
-        depth_longest[node] = max((depth_longest[p] for p in parents[node]), default=-1) + 1
-
-    depth = depth_longest if depth_mode == "max" else depth_min
-
-    # Single transient closure pass per direction; the sets are discarded
-    # after the counts are extracted (queries recompute them on demand).
-    subsumer_count: dict[SynsetId, int] = {}
-    ancestors: dict[SynsetId, frozenset[SynsetId]] = {}
-    for node in reversed(order):
-        acc: set[SynsetId] = set()
-        for p in parents[node]:
-            acc.add(p)
-            acc |= ancestors[p]
-        ancestors[node] = frozenset(acc)
-        subsumer_count[node] = len(acc) + 1
-    del ancestors
-
-    hypo_count: dict[SynsetId, int] = {}
-    leaf_count: dict[SynsetId, int] = {}
-    inv_depth_sum: dict[SynsetId, float] = {}
-    leaf_commonness: dict[SynsetId, float] = {}
-    descendants: dict[SynsetId, frozenset[SynsetId]] = {}
-    for node in order:
-        acc = set()
-        for c in children[node]:
-            acc.add(c)
-            acc |= descendants[c]
-        descendants[node] = frozenset(acc)
-        hypo_count[node] = len(acc)
-        # bucket the reciprocal sums by integer value so the float result
-        # is independent of set iteration order (reproducible bit for bit)
-        leaves_n = 0
-        by_depth: dict[int, int] = {}
-        by_subs: dict[int, int] = {}
-        for a in acc:
-            by_depth[depth[a]] = by_depth.get(depth[a], 0) + 1
-            if not children[a]:
-                leaves_n += 1
-                sc = subsumer_count[a]
-                by_subs[sc] = by_subs.get(sc, 0) + 1
-        leaf_count[node] = leaves_n
-        inv_depth_sum[node] = sum(n / d for d, n in sorted(by_depth.items()))
-        leaf_commonness[node] = sum(n / s for s, n in sorted(by_subs.items()))
-    del descendants
-
-    constants = TaxonomyConstants(
-        node_max=len(parents),
-        deep_max=max(depth.values()),
-        leaves_max=sum(1 for n in parents if not children[n]),
-    )
-
     ids = tuple(parents)
-    row = dict(zip(ids, range(len(ids))))
+    n = len(ids)
+    row = dict(zip(ids, range(n)))
+    parent_lists = [[row[p] for p in sorted(parents[node])] for node in ids]
+    n_children = [0] * n
+    for ps in parent_lists:
+        for p in ps:
+            n_children[p] += 1
+
+    # Kahn order, children first; a node left out sits on or above a cycle
+    pending = n_children[:]
+    order = [r for r in range(n) if not pending[r]]
+    for r in order:  # the list grows while it is walked
+        for p in parent_lists[r]:
+            pending[p] -= 1
+            if not pending[p]:
+                order.append(p)
+    if len(order) != n:
+        raise CycleDetected(_find_cycle(parents, skip={ids[r] for r in order}))
+    order.reverse()  # parents first
+
+    # The one closure pass: a node's depths and strict ancestors come from
+    # its parents', and walking the ancestors counts it as their descendant
+    depth_min = [0] * n
+    depth_longest = [0] * n
+    depth = depth_longest if depth_mode == "max" else depth_min
+    ancestors: list[tuple[int, ...]] = [()] * n
+    subsumer_count = [0] * n
+    hypo_count = [0] * n
+    leaf_count = [0] * n
+    # a leaf is nobody's ancestor, so all leaves share one empty histogram
+    empty: dict[int, int] = {}
+    by_depth = [{} if k else empty for k in n_children]
+    by_subs = [{} if k else empty for k in n_children]
+    for r in order:
+        ps = parent_lists[r]
+        if ps:  # all but the root
+            depth_min[r] = min([depth_min[p] for p in ps]) + 1
+            depth_longest[r] = max([depth_longest[p] for p in ps]) + 1
+        acc = set(ps)
+        for p in ps:
+            acc.update(ancestors[p])
+        ancestors[r] = acc = tuple(acc)
+        sc = subsumer_count[r] = len(acc) + 1
+        d = depth[r]
+        leaf = not n_children[r]
+        for a in acc:
+            hypo_count[a] += 1
+            hist = by_depth[a]
+            hist[d] = hist.get(d, 0) + 1
+            if leaf:
+                leaf_count[a] += 1
+                hist = by_subs[a]
+                hist[sc] = hist.get(sc, 0) + 1
+
+    constants = TaxonomyConstants(node_max=n, deep_max=max(depth),
+                                  leaves_max=n_children.count(0))
     lemma_lists = [tuple(raw.lemmas.get(node, (node,))) for node in ids]
     if word_index is None:
         built: dict[str, list[SynsetId]] = {}
@@ -447,28 +419,21 @@ def freeze(raw: RawGraph, depth_mode: str = "min",
         sense_lists = [[row[s] for s in senses] for senses in word_index.values()]
     except KeyError as exc:
         raise UnknownSynset(exc.args[0]) from None
-    parent_lists = [[row[p] for p in sorted(parents[node])] for node in ids]
-    child_lists = [[row[c] for c in sorted(children[node])] for node in ids]
-
-    def column(values: dict, typecode: str = "l") -> array:
-        return array(typecode, [values[node] for node in ids])
 
     columns = Columns(
         parent_start=_offsets(parent_lists),
         parent_rows=array("l", chain.from_iterable(parent_lists)),
-        child_start=_offsets(child_lists),
-        child_rows=array("l", chain.from_iterable(child_lists)),
         lemma_start=_offsets(lemma_lists),
         sense_start=_offsets(sense_lists),
         sense_rows=array("l", chain.from_iterable(sense_lists)),
-        depth=column(depth),
-        depth_longest=column(depth_longest),
-        hypo_count=column(hypo_count),
-        leaf_count=column(leaf_count),
-        subsumer_count=column(subsumer_count),
-        nmih=array("l", [len(parents[node]) for node in ids]),
-        inv_depth_sum=column(inv_depth_sum, "d"),
-        leaf_commonness=column(leaf_commonness, "d"),
+        depth=array("l", depth),
+        depth_longest=array("l", depth_longest),
+        hypo_count=array("l", hypo_count),
+        leaf_count=array("l", leaf_count),
+        subsumer_count=array("l", subsumer_count),
+        nmih=array("l", map(len, parent_lists)),
+        inv_depth_sum=array("d", [sum(c / k for k, c in sorted(h.items())) for h in by_depth]),
+        leaf_commonness=array("d", [sum(c / k for k, c in sorted(h.items())) for h in by_subs]),
     )
     return Taxonomy(ids, tuple(chain.from_iterable(lemma_lists)), tuple(word_index),
                     columns, root, constants)

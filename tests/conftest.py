@@ -113,14 +113,26 @@ def random_taxonomy(rng: random.Random, max_nodes: int = 50,
     return freeze(random_raw_graph(rng, max_nodes, max_parents))
 
 
+def children_of(t):
+    """Each node's children in id order, by inverting ``t.nodes[n].parents``."""
+    children = {node: [] for node in t.nodes}
+    for node in sorted(t.nodes):
+        for p in t.nodes[node].parents:
+            children[p].append(node)
+    return {node: tuple(cs) for node, cs in children.items()}
+
+
 def brute_closure(t, start, direction):
-    """Transitive closure by naive fixpoint iteration (independent oracle)."""
+    """Transitive closure by naive fixpoint iteration (independent oracle);
+    ``direction`` is "parents" or "children"."""
+    step = (children_of(t) if direction == "children"
+            else {node: syn.parents for node, syn in t.nodes.items()})
     acc = set()
     frontier = {start}
     while frontier:
         nxt = set()
         for node in frontier:
-            for other in getattr(t.nodes[node], direction):
+            for other in step[node]:
                 if other not in acc:
                     acc.add(other)
                     nxt.add(other)

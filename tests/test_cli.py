@@ -79,6 +79,12 @@ class TestUsage:
                            "leaf", "nosuch")
         assert (code, err) == (1, "semsim: word has no noun sense: 'nosuch'\n")
 
+    def test_pinned_root_with_parents_exits_1(self, capsys, tmp_path):
+        edges = tmp_path / "p.tsv"
+        edges.write_text("!root a\na\tb\nc\ta\n")
+        assert run(capsys, "--edgelist", str(edges), "stats") == (
+            1, "", "semsim: pinned root 'a' has parents\n")
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--zhou-k", "2", "zhou_k must be in [0, 1], got 2.0"),
         ("--log-base", "nan", "log base must be finite and exceed 1, got nan"),
@@ -243,6 +249,50 @@ class TestGrid:
         assert "golden miss" in err
 
 
+class TestReportFiles:
+    """A --golden file that cannot be read or used and a --json path that
+    cannot be written end in one line and exit status 1."""
+
+    @pytest.fixture
+    def golden(self, tmp_path):
+        return tmp_path / "golden.json"
+
+    def grid(self, capsys, toy_dataset, *extra):
+        return run(capsys, *CHAIN, "grid", "--dataset", toy_dataset, "--combos", "seco:lin",
+                   *extra)
+
+    def test_missing_golden_file(self, capsys, toy_dataset, golden):
+        assert self.grid(capsys, toy_dataset, "--golden", str(golden)) == (
+            1, "", f"semsim: cannot read {golden}: No such file or directory\n")
+
+    def test_golden_file_not_json(self, capsys, toy_dataset, golden):
+        golden.write_text("seco:lin 0.5\n")
+        code, out, err = self.grid(capsys, toy_dataset, "--golden", str(golden))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"semsim: {golden}: not JSON: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("entry", [
+        {"measure": "lin", "pearson": 0.5},
+        {"ic_model": "seco", "measure": "lin", "pearson": "0.5"},
+        {"ic_model": "seco", "measure": "lin", "pearson": 0.5, "tol": None},
+        {"ic_model": "seco", "measure": "lin", "pearson": float("nan")},
+    ], ids=["no ic_model", "pearson not a number", "tol not a number", "pearson NaN"])
+    def test_golden_entry_that_does_not_fit(self, capsys, toy_dataset, golden, entry):
+        golden.write_text(json.dumps([entry]))
+        assert self.grid(capsys, toy_dataset, "--golden", str(golden)) == (
+            1, "", f"semsim: {golden}: expected a list of "
+                   "{ic_model, measure, pearson[, tol]} objects\n")
+
+    @pytest.mark.parametrize("command", [
+        ["grid", "--combos", "seco:lin"], ["eval", "--ic", "seco", "--measure", "lin"]])
+    def test_unwritable_json_report(self, capsys, tmp_path, toy_dataset, command):
+        target = tmp_path / "absent" / "x.json"
+        code, out, err = run(capsys, *CHAIN, command[0], "--dataset", toy_dataset,
+                             *command[1:], "--json", str(target))
+        assert (code, out, err) == (
+            1, "", f"semsim: cannot write {target}: No such file or directory\n")
+
+
 class TestWordNetCli:
     def test_same_synset_pair_is_exactly_one(self, capsys, wordnet_dir):
         code, out, _ = run(capsys, "--wordnet", wordnet_dir, "sim",
@@ -286,7 +336,7 @@ class TestSnapshotCache:
     def test_snapshot_cache_round_trip(self, capsys, cached):
         cache, args, out, good = cached
         header = json.loads(good[:good.index(b"\n")])
-        assert header["format"] == cli.SNAPSHOT_FORMAT.decode() == "semsim-taxonomy-2"
+        assert header["format"] == cli.SNAPSHOT_FORMAT.decode() == "semsim-taxonomy-3"
         assert cache.stat().st_mode & 0o777 == 0o600
         assert run(capsys, *args) == (0, out, "")
         assert cache.read_bytes() == good

@@ -21,7 +21,7 @@ from semsim.similarity import SimMeasureId, word_similarity
 from semsim.taxonomy import freeze
 from semsim.wordnet import parse_edgelist
 
-from conftest import FIXTURES, brute_closure, build, dags, raw_dags
+from conftest import FIXTURES, brute_closure, build, children_of, dags, raw_dags
 
 LN = math.log
 ALL_MODELS = list(ICModelId)
@@ -376,9 +376,9 @@ class TestFixtureDiscrimination:
         # the nodes sit at depths 1 and 3
         t = freeze_fixture("depth_pair_equal_leaf_subsumers.tsv")
         assert t.depth("shallow") == 1 and t.depth("deep") == 3
+        children = children_of(t)
         for node in ("shallow", "deep"):
-            (leaf,) = [n for n in brute_closure(t, node, "children")
-                       if not t.nodes[n].children]
+            (leaf,) = [n for n in brute_closure(t, node, "children") if not children[n]]
             assert t.stats[leaf].subsumer_count == 6
         commonness, proposed = ic_table(t, COMMONNESS2012), ic_table(t, PROPOSED)
         assert commonness["shallow"] == pytest.approx(commonness["deep"], rel=1e-12)

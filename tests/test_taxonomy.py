@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from semsim.errors import CycleDetected, EmptyGraph, UnknownSynset
 from semsim.taxonomy import RawGraph, SYNTHETIC_ROOT, Taxonomy, freeze
 
-from conftest import brute_closure, build, random_taxonomy, raw_dags
+from conftest import brute_closure, build, children_of, random_taxonomy, raw_dags
 
 
 class TestFreeze:
@@ -108,18 +108,30 @@ class TestQueries:
             getattr(chain, op)("missing")
 
 
-def brute_stats(t, node):
-    """Recompute one node's statistics from adjacency alone."""
+def path_lengths(t):
+    """The length of every upward path from each node to the root."""
+    lengths = {t.root: {0}}
+
+    def of(node):
+        if node not in lengths:
+            lengths[node] = {k + 1 for p in t.nodes[node].parents for k in of(p)}
+        return lengths[node]
+    return {node: of(node) for node in t.nodes}
+
+
+def brute_stats(t, node, depth):
+    """Recompute one node's statistics from adjacency alone, given each
+    node's ``depth``."""
     ancestors = brute_closure(t, node, "parents")
     descendants = brute_closure(t, node, "children")
-    is_leaf = {n: not t.nodes[n].children for n in t.nodes}
+    children = children_of(t)
     by_depth = {}
     by_subs = {}
     leaves_n = 0
     for a in descendants:
-        d = t.stats[a].depth
+        d = depth[a]
         by_depth[d] = by_depth.get(d, 0) + 1
-        if is_leaf[a]:
+        if not children[a]:
             leaves_n += 1
             sc = len(brute_closure(t, a, "parents")) + 1
             by_subs[sc] = by_subs.get(sc, 0) + 1
@@ -141,13 +153,20 @@ class TestRandomDagProperties:
             for node in t.nodes:
                 assert t.subsumers(node) == brute_closure(t, node, "parents") | {node}
 
-    def test_cached_stats_match_recomputation(self):
-        rng = random.Random(11)
-        for _ in range(30):
-            t = random_taxonomy(rng)
+    @settings(max_examples=150, deadline=None)
+    @given(raw_dags())
+    def test_cached_stats_match_recomputation(self, drawn):
+        raw, _ = drawn
+        for depth_mode in ("min", "max"):
+            t = freeze(raw, depth_mode=depth_mode)
+            lengths = path_lengths(t)
+            shortest = {node: min(ks) for node, ks in lengths.items()}
+            longest = {node: max(ks) for node, ks in lengths.items()}
+            depth = longest if depth_mode == "max" else shortest
             for node in t.nodes:
                 s = t.stats[node]
-                b = brute_stats(t, node)
+                b = brute_stats(t, node, depth)
+                assert (s.depth, s.depth_longest) == (depth[node], longest[node])
                 assert s.hypo_count == b["hypo_count"]
                 assert s.leaf_count == b["leaf_count"]
                 assert s.subsumer_count == b["subsumer_count"]
@@ -168,12 +187,12 @@ class TestRandomDagProperties:
         rng = random.Random(17)
         for _ in range(20):
             t = random_taxonomy(rng)
+            children = children_of(t)
             for node, syn in t.nodes.items():
-                for p in syn.parents:
-                    assert node in t.nodes[p].children
-                for c in syn.children:
-                    assert node in t.nodes[c].parents
+                assert list(syn.parents) == sorted(set(syn.parents))
                 assert node not in syn.parents  # no self-loops
+                assert t.stats[node].nmih == len(syn.parents)
+                assert (t.stats[node].hypo_count == 0) == (not children[node])
 
     def test_edge_invariants(self):
         rng = random.Random(19)
@@ -204,6 +223,19 @@ class TestRandomDagProperties:
         for view in ("nodes", "stats", "word_index"):
             assert {k: repr(v) for k, v in getattr(shuffled, view).items()} == \
                 {k: repr(v) for k, v in getattr(t, view).items()}
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw_dags())
+    def test_max_depth_is_never_shallower_and_equal_on_trees(self, drawn):
+        raw, _ = drawn
+        shallow, deep = freeze(raw), freeze(raw, depth_mode="max")
+        for node in shallow.nodes:
+            assert deep.depth(node) >= shallow.depth(node)
+        # keep one parent per node: a tree, where every path is the only one
+        tree = RawGraph(parents={node: ps[:1] for node, ps in raw.parents.items()})
+        shallow, deep = freeze(tree), freeze(tree, depth_mode="max")
+        assert dict(deep.stats) == dict(shallow.stats)
+        assert deep.constants == shallow.constants
 
     def test_insertion_order_does_not_matter(self):
         rng = random.Random(23)
@@ -239,7 +271,7 @@ class TestColumns:
         lambda p: dict(p, columns=p["columns"]._replace(sense_rows=array("l", [0, 1, 3]))),
         lambda p: dict(p, columns=p["columns"]._replace(sense_rows=array("l", [0, -1, 1]))),
         lambda p: dict(p, columns=p["columns"]._replace(sense_start=array("l", [0, 3]))),
-        lambda p: dict(p, columns=p["columns"]._replace(child_start=array("l", [0, 2, 3, 4]))),
+        lambda p: dict(p, columns=p["columns"]._replace(parent_start=array("l", [0, 0, 1, 4]))),
         lambda p: dict(p, columns=p["columns"]._replace(depth=array("l", [0, 1]))),
         lambda p: dict(p, columns=p["columns"]._replace(nmih=array("d", [0, 1, 2]))),
     ], ids=["duplicate id", "duplicate word", "unknown root", "lemmas short of offsets",

@@ -11,6 +11,9 @@ import importlib
 import re
 import sys
 
+from semsim import cli
+from semsim.taxonomy import TYPECODES, Columns
+
 from conftest import REPO
 
 
@@ -72,3 +75,15 @@ def test_every_traced_name_exists():
     missing = {(m, n) for m, n in targets
                if not hasattr(importlib.import_module("semsim." + m), n)}
     assert missing <= TRACED_BUT_REMOVED
+
+
+def test_snapshot_format_pins_the_column_layout():
+    # a snapshot stores the columns in this order with these typecodes and
+    # is served whenever its format tag matches; so a layout change must
+    # come with a new SNAPSHOT_FORMAT, and with it a new pin here
+    assert (cli.SNAPSHOT_FORMAT, Columns._fields, TYPECODES) == (
+        b"semsim-taxonomy-3",
+        ("parent_start", "parent_rows", "lemma_start", "sense_start", "sense_rows",
+         "depth", "depth_longest", "hypo_count", "leaf_count", "subsumer_count", "nmih",
+         "inv_depth_sum", "leaf_commonness"),
+        ("l",) * 11 + ("d", "d"))

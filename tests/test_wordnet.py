@@ -9,7 +9,7 @@ from semsim.errors import (DanglingPointer, EmptyGraph, MalformedLine, MissingFi
 from semsim.taxonomy import freeze
 from semsim.wordnet import parse_edgelist, parse_wordnet, serialize_edgelist, synset_id
 
-from conftest import HEADER, write_wordnet
+from conftest import HEADER, children_of, write_wordnet
 
 
 CHAIN = [
@@ -40,7 +40,7 @@ class TestDataNoun:
         assert raw.parents == {mountain: [], everest: [mountain]}
         t = freeze(raw)
         assert t.nodes[everest].parents == (mountain,)
-        assert t.nodes[mountain].children == (everest,)
+        assert children_of(t)[mountain] == (everest,)
 
     def test_cross_pos_pointers_ignored(self, tmp_path):
         synsets = [
