@@ -139,6 +139,8 @@ def load_taxonomy(args) -> Taxonomy:
     if args.wordnet and args.edgelist:
         raise UsageError("specify either --wordnet or --edgelist, not both")
     if args.edgelist:
+        if args.cache:
+            raise UsageError("--cache needs a WordNet source, not --edgelist")
         raw = parse_edgelist(args.edgelist)
         return freeze(raw, depth_mode=args.depth_mode)
 

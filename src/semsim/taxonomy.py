@@ -333,6 +333,7 @@ def freeze(raw: RawGraph, depth_mode: str = "min",
     if pinned is not None and pinned not in parents:
         parents[pinned] = []
     orphans = sorted(n for n, ps in parents.items() if not ps)
+    root = None  # no parentless node: the Kahn pass below names a cycle
     if pinned is not None:
         if parents[pinned]:
             raise PinnedRootHasParents(f"pinned root {pinned!r} has parents")
@@ -342,14 +343,11 @@ def freeze(raw: RawGraph, depth_mode: str = "min",
         root = pinned
     elif len(orphans) == 1:
         root = orphans[0]
-    elif len(orphans) > 1:
+    elif orphans:
         parents[SYNTHETIC_ROOT] = []
         for n in orphans:
             parents[n] = [SYNTHETIC_ROOT]
         root = SYNTHETIC_ROOT
-    else:
-        # no parentless node: every node sits on a cycle
-        raise CycleDetected(_find_cycle(parents))
 
     ids = tuple(parents)
     n = len(ids)
@@ -369,7 +367,21 @@ def freeze(raw: RawGraph, depth_mode: str = "min",
             if not pending[p]:
                 order.append(p)
     if len(order) != n:
-        raise CycleDetected(_find_cycle(parents, skip={ids[r] for r in order}))
+        # A node left out still waits on a child left out, so a walk along
+        # such children returns to a node already on it; the loop reversed
+        # lists each node's parent after it.
+        child: dict[int, int] = {}
+        for r in range(n):
+            if pending[r]:
+                for p in parent_lists[r]:
+                    child.setdefault(p, r)
+        walk: dict[int, int] = {}  # row -> its step on the walk
+        r = next(iter(child))
+        while r not in walk:
+            walk[r] = len(walk)
+            r = child[r]
+        loop = list(walk)[walk[r]:] + [r]
+        raise CycleDetected([ids[c] for c in reversed(loop)])
     order.reverse()  # parents first
 
     # The one closure pass: a node's depths and strict ancestors come from
@@ -438,32 +450,3 @@ def freeze(raw: RawGraph, depth_mode: str = "min",
     return Taxonomy(ids, tuple(chain.from_iterable(lemma_lists)), tuple(word_index),
                     columns, root, constants)
 
-
-def _find_cycle(parents: Mapping[SynsetId, list[SynsetId]],
-                skip: set[SynsetId] | None = None) -> list[SynsetId]:
-    """DFS over parent edges among not-yet-ordered nodes; returns one cycle."""
-    banned = skip or set()
-    color = {n: 0 for n in sorted(parents) if n not in banned}  # 0 new, 1 on path, 2 done
-    for start in list(color):
-        if color[start]:
-            continue
-        color[start] = 1
-        path = [start]
-        stack = [(start, iter([p for p in parents[start] if p in color]))]
-        while stack:
-            node, edges = stack[-1]
-            stepped = False
-            for p in edges:
-                if color[p] == 1:
-                    return path[path.index(p):] + [p]
-                if color[p] == 0:
-                    color[p] = 1
-                    path.append(p)
-                    stack.append((p, iter([q for q in parents[p] if q in color])))
-                    stepped = True
-                    break
-            if not stepped:
-                color[node] = 2
-                path.pop()
-                stack.pop()
-    raise AssertionError("cycle expected but not found")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass
 
 from .errors import DanglingPointer, MalformedLine, MissingFile
 from .taxonomy import RawGraph, SynsetId
@@ -22,23 +21,6 @@ HYPERNYM_SYMBOLS = ("@", "@i")
 HYPONYM_SYMBOLS = ("~", "~i")
 
 WORDNET_DIR_ENV = "SEMSIM_WORDNET_DIR"
-
-
-@dataclass(frozen=True)
-class RawSynsetRecord:
-    """One parsed line of ``data.noun``."""
-
-    offset: str
-    lemmas: tuple[str, ...]
-    pointers: tuple[tuple[str, str, str], ...]  # (symbol, target_offset, target_pos)
-
-
-@dataclass(frozen=True)
-class WordIndexEntry:
-    """One parsed line of ``index.noun``: a lemma and its senses in order."""
-
-    lemma: str
-    sense_offsets: tuple[str, ...]
 
 
 def synset_id(offset: str) -> SynsetId:
@@ -59,40 +41,22 @@ def parse_wordnet(dir_path) -> tuple[RawGraph, dict[str, tuple[SynsetId, ...]]]:
         if not os.path.isfile(p):
             raise MissingFile(f"required WordNet file not found: {p}")
 
-    records = _parse_data_noun(data_path)
-    known = set(records)
-
-    parents: dict[SynsetId, list[SynsetId]] = {}
-    lemmas: dict[SynsetId, tuple[str, ...]] = {}
+    parents, lemmas, links = _parse_data_noun(data_path)
+    hypernym_links = {link for link in links if link[1] in HYPERNYM_SYMBOLS}
     asymmetries = 0
-    for offset, rec in records.items():
-        sid = synset_id(offset)
-        ps: list[SynsetId] = []
-        for symbol, target, pos in rec.pointers:
-            if pos != "n":
-                continue
-            if symbol in HYPERNYM_SYMBOLS or symbol in HYPONYM_SYMBOLS:
-                if target not in known:
-                    raise DanglingPointer(sid, symbol, target)
-            if symbol in HYPERNYM_SYMBOLS:
-                ps.append(synset_id(target))
-            elif symbol in HYPONYM_SYMBOLS:
-                reverse = "@" if symbol == "~" else "@i"
-                back = records[target].pointers
-                if (reverse, offset, "n") not in back:
-                    asymmetries += 1
-                    log.warning("hyponym pointer %s %s -> %s lacks a reverse %s",
-                                symbol, offset, target, reverse)
-        parents[sid] = ps
-        lemmas[sid] = rec.lemmas
+    for offset, symbol, target in links:
+        if synset_id(target) not in parents:
+            raise DanglingPointer(synset_id(offset), symbol, target)
+        if symbol in HYPONYM_SYMBOLS:
+            reverse = "@" if symbol == "~" else "@i"
+            if (target, reverse, offset) not in hypernym_links:
+                asymmetries += 1
+                log.warning("hyponym pointer %s %s -> %s lacks a reverse %s",
+                            symbol, offset, target, reverse)
     if asymmetries:
         log.warning("%d asymmetric hyponym pointers in %s", asymmetries, data_path)
 
-    word_index: dict[str, tuple[SynsetId, ...]] = {}
-    for entry in _parse_index_noun(index_path, known):
-        word_index[entry.lemma] = tuple(synset_id(o) for o in entry.sense_offsets)
-
-    return RawGraph(parents=parents, lemmas=lemmas), word_index
+    return RawGraph(parents=parents, lemmas=lemmas), _parse_index_noun(index_path, parents)
 
 
 def utf8_lines(path):
@@ -112,8 +76,13 @@ def _decode(path, line_no: int, raw_line: bytes, byte_offset: int | None = None)
                             "of the line", byte_offset=byte_offset) from None
 
 
-def _parse_data_noun(path) -> dict[str, RawSynsetRecord]:
-    records: dict[str, RawSynsetRecord] = {}
+def _parse_data_noun(path):
+    """Each synset's parents and lemmas, keyed by id in file order, and its
+    noun hypernym and hyponym pointers as ``(offset, symbol, target_offset)``
+    links in file order."""
+    parents: dict[SynsetId, list[SynsetId]] = {}
+    lemmas: dict[SynsetId, tuple[str, ...]] = {}
+    links: list[tuple[str, str, str]] = []
     byte_pos = 0
     with open(path, "rb") as fh:
         for line_no, raw_line in enumerate(fh, start=1):
@@ -134,27 +103,37 @@ def _parse_data_noun(path) -> dict[str, RawSynsetRecord]:
                         f"offset {offset} does not match line byte position {line_start}")
                 w_cnt = int(fields[3], 16)
                 pos = 4
-                lemmas = []
+                words = []
                 for _ in range(w_cnt):
-                    lemmas.append(fields[pos])
+                    words.append(fields[pos])
                     pos += 2  # skip lex_id
                 p_cnt = int(fields[pos])
                 pos += 1
-                pointers = []
+                ps = []
                 for _ in range(p_cnt):
                     symbol, target, target_pos, _src_tgt = fields[pos:pos + 4]
-                    pointers.append((symbol, target, target_pos))
                     pos += 4
+                    if target_pos != "n":
+                        continue
+                    if symbol in HYPERNYM_SYMBOLS:
+                        ps.append(synset_id(target))
+                    elif symbol not in HYPONYM_SYMBOLS:
+                        continue  # meronyms and the other relations
+                    links.append((offset, symbol, target))
             except (IndexError, ValueError) as exc:
                 raise MalformedLine(path, line_no, str(exc), byte_offset=line_start) from None
-            records[offset] = RawSynsetRecord(offset, tuple(lemmas), tuple(pointers))
-    if not records:
+            sid = synset_id(offset)
+            parents[sid] = ps
+            lemmas[sid] = tuple(words)
+    if not parents:
         raise MalformedLine(path, 0, "no synset lines found")
-    return records
+    return parents, lemmas, links
 
 
-def _parse_index_noun(path, known_offsets) -> list[WordIndexEntry]:
-    entries: list[WordIndexEntry] = []
+def _parse_index_noun(path, synsets) -> dict[str, tuple[SynsetId, ...]]:
+    """The word index: each lemma's senses in file order; a sense that is
+    not in ``synsets`` raises ``DanglingPointer``."""
+    word_index: dict[str, tuple[SynsetId, ...]] = {}
     for line_no, line in utf8_lines(path):
         if line.startswith("  "):
             continue
@@ -171,11 +150,12 @@ def _parse_index_noun(path, known_offsets) -> list[WordIndexEntry]:
                     f"expected {synset_cnt} sense offsets, found {len(offsets)}")
         except (IndexError, ValueError) as exc:
             raise MalformedLine(path, line_no, str(exc)) from None
-        for o in offsets:
-            if o not in known_offsets:
+        senses = tuple(synset_id(o) for o in offsets)
+        for o, sid in zip(offsets, senses):
+            if sid not in synsets:
                 raise DanglingPointer(lemma, "index", o)
-        entries.append(WordIndexEntry(lemma, tuple(offsets)))
-    return entries
+        word_index[lemma] = senses
+    return word_index
 
 
 def parse_edgelist(path) -> RawGraph:

@@ -62,6 +62,16 @@ class TestUsage:
                          "--edgelist", str(FIXTURES / "chain.tsv"), "stats")
         assert code == 2
 
+    def test_cache_with_edgelist_exits_2_before_parsing(self, capsys, tmp_path):
+        cache = tmp_path / "X"
+        for edges in (FIXTURES / "chain.tsv", tmp_path / "absent.tsv"):
+            code, out, err = run(capsys, "--edgelist", str(edges), "--cache", str(cache),
+                                 "stats")
+            assert (code, out) == (2, "")
+            assert err.splitlines()[-1] == \
+                "semsim: error: --cache needs a WordNet source, not --edgelist"
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_word_exits_1(self, capsys):
         code, _, err = run(capsys, *CHAIN, "sim", "--ic", "proposed",
                            "--measure", "lin", "mid", "ghost")

@@ -237,6 +237,27 @@ class TestRandomDagProperties:
         assert dict(deep.stats) == dict(shallow.stats)
         assert deep.constants == shallow.constants
 
+    @given(raw_dags(), st.data())
+    def test_a_cycle_is_named_along_its_parent_edges(self, drawn, data):
+        parents = {node: list(ps) for node, ps in drawn[0].parents.items()}
+        below = {node: {node} for node in parents}  # a node and its descendants
+        for node in reversed(list(parents)):  # raw_dags lists parents first
+            for p in parents[node]:
+                below[p] |= below[node]
+        node = data.draw(st.sampled_from(sorted(parents)))
+        parents[node].append(data.draw(st.sampled_from(sorted(below[node])),
+                                       label="back edge or self-loop"))
+        if not data.draw(st.booleans(), label="leave parentless nodes"):
+            for ps in parents.values():
+                if not ps:
+                    ps.append(data.draw(st.sampled_from(sorted(parents))))
+        with pytest.raises(CycleDetected) as err:
+            freeze(RawGraph(parents=parents), depth_mode=drawn[1])
+        cycle = err.value.cycle
+        assert len(cycle) >= 2 and cycle[0] == cycle[-1]
+        assert set(cycle) <= set(parents)
+        assert all(p in parents[c] for c, p in zip(cycle, cycle[1:]))
+
     def test_insertion_order_does_not_matter(self):
         rng = random.Random(23)
         for _ in range(10):

@@ -91,6 +91,51 @@ class TestDataNoun:
         assert any("lacks a reverse" in r.message for r in caplog.records)
         assert len(raw.parents) == 2
 
+    def test_line_cut_inside_its_pointer_list(self, tmp_path):
+        offsets = write_wordnet(tmp_path, CHAIN)
+        text = (tmp_path / "data.noun").read_text()
+        cut = f"@ {offsets[0]} n 0000 ~"  # the second of two pointers ends early
+        line = text.splitlines(keepends=True)[3]
+        text = text.replace(line, line[:line.index(cut) + len(cut)] + "\n")
+        (tmp_path / "data.noun").write_text(text)
+        with pytest.raises(MalformedLine) as err:
+            parse_wordnet(tmp_path)
+        assert (err.value.line_no, err.value.byte_offset) == (4, int(offsets[1]))
+
+    @pytest.mark.parametrize("answer, warns", [("@", True), ("@i", False)])
+    def test_instance_hyponym_needs_an_instance_hypernym_back(self, tmp_path, caplog,
+                                                             answer, warns):
+        write_wordnet(tmp_path, [(["mountain"], [("~i", 1, "n")]),
+                                 (["everest"], [(answer, 0, "n")])])
+        with caplog.at_level(logging.WARNING, logger="semsim.wordnet"):
+            parse_wordnet(tmp_path)
+        assert any("lacks a reverse @i" in r.getMessage() for r in caplog.records) == warns
+        assert bool(caplog.records) == warns
+
+    def test_malformed_line_comes_before_an_earlier_dangling_pointer(self, tmp_path):
+        offsets = write_wordnet(tmp_path, CHAIN)
+        text = (tmp_path / "data.noun").read_text()
+        text = text.replace(f"~ {offsets[1]} n", "~ 99999999 n", 1)  # line 3
+        text = text.replace(" 03 n 01 cell_phone 0 ", " 03 n zz cell_phone 0 ")  # line 5
+        (tmp_path / "data.noun").write_text(text)
+        with pytest.raises(MalformedLine) as err:
+            parse_wordnet(tmp_path)
+        assert (err.value.line_no, err.value.byte_offset) == (5, int(offsets[2]))
+
+    def test_meronym_and_other_pos_pointers_may_dangle(self, tmp_path):
+        synsets = [
+            (["entity"], []),
+            (["runner"], [("@", 0, "n"), ("%p", 0, "n"), ("#m", 0, "n"), ("+", 0, "v"),
+                          ("@", 0, "v"), ("~", 0, "a")]),
+        ]
+        offsets = write_wordnet(tmp_path, synsets)
+        text = (tmp_path / "data.noun").read_text()
+        for sym, pos in [("%p", "n"), ("#m", "n"), ("+", "v"), ("@", "v"), ("~", "a")]:
+            text = text.replace(f" {sym} {offsets[0]} {pos} ", f" {sym} 99999999 {pos} ")
+        (tmp_path / "data.noun").write_text(text)
+        raw, _ = parse_wordnet(tmp_path)
+        assert raw.parents[synset_id(offsets[1])] == [synset_id(offsets[0])]
+
     def test_index_sense_count_mismatch(self, tmp_path):
         offsets = write_wordnet(tmp_path, CHAIN)
         bad = HEADER + f"entity n 2 1 @ 2 0 {offsets[0]}  \n"
