@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (AllPairsSkipped, EmptyDataset, LengthMismatch, MalformedRow,
-                     MissingFile, UnknownWord, ZeroVariance)
+                     MissingFile, NonFiniteScore, UnknownWord, ZeroVariance)
 from .ic import ICConfig, ICModelId, ICTable, ic_table
 from .similarity import SimMeasureId, word_similarity
 from .taxonomy import Taxonomy
@@ -102,6 +102,8 @@ def load_dataset(path) -> BenchmarkDataset:
                 continue  # header row
             raise MalformedRow(path, row_no,
                                f"score is not a number: {score_text!r}") from None
+        if not math.isfinite(score):
+            raise MalformedRow(path, row_no, f"score is not finite: {score_text!r}")
         if not w1 or not w2:
             raise MalformedRow(path, row_no, "empty word cell")
         key = frozenset((w1.lower(), w2.lower()))
@@ -118,7 +120,8 @@ def load_dataset(path) -> BenchmarkDataset:
 
 
 def pearson(xs, ys) -> float:
-    """Sample linear correlation of two equal-length sequences."""
+    """Sample linear correlation of two equal-length sequences of finite
+    numbers."""
     xs = list(xs)
     ys = list(ys)
     if len(xs) != len(ys):
@@ -126,6 +129,8 @@ def pearson(xs, ys) -> float:
     n = len(xs)
     if n < 2:
         raise LengthMismatch(f"need at least 2 points, got {n}")
+    if not all(map(math.isfinite, xs + ys)):
+        raise NonFiniteScore("the correlation inputs hold a NaN or an infinity")
     mean_x = sum(xs) / n
     mean_y = sum(ys) / n
     dx = [x - mean_x for x in xs]

@@ -16,21 +16,13 @@ import math
 import os
 import sys
 import tempfile
-from array import array
-from itertools import chain
 
 from . import bench
 from .errors import SemsimError
 from .ic import ICConfig, ICModelId, ic_table
 from .similarity import SimMeasureId, dcs as dcs_of_pair, word_similarity_detail
-from .taxonomy import TYPECODES, Columns, Taxonomy, TaxonomyConstants, freeze
+from .taxonomy import Taxonomy, _read_snapshot, _snapshot_chunks, freeze
 from .wordnet import default_wordnet_dir, parse_edgelist, parse_wordnet
-
-# The snapshot's format tag, also part of its fingerprint: change it
-# whenever the snapshot layout, the Taxonomy columns or what freeze stores
-# in them changes, so that snapshots written by another layout are rebuilt
-# instead of served.
-SNAPSHOT_FORMAT = b"semsim-taxonomy-3"
 
 
 class UsageError(Exception):
@@ -125,8 +117,9 @@ def _ic_config(args) -> ICConfig:
 
 
 def _source_fingerprint(paths, depth_mode: str) -> str:
-    digest = hashlib.sha256(SNAPSHOT_FORMAT)
-    digest.update(b"\0" + depth_mode.encode())
+    """The hash of the source files and the depth mode that a snapshot is
+    stored under; the snapshot reader checks the format tag itself."""
+    digest = hashlib.sha256(depth_mode.encode())
     for p in paths:
         digest.update(b"\0")
         with open(p, "rb") as fh:
@@ -174,77 +167,6 @@ def _same_file(path: str, other: str) -> bool:
         return os.path.samefile(path, other)
     except OSError:  # either one is missing
         return False
-
-
-# The snapshot file: one JSON header line, then the arrays of
-# taxonomy.Columns as raw machine bytes, in their order, then every id,
-# lemma and word, newline-joined as UTF-8 (the parsers split lines on
-# newlines, so no string holds one).  The header's "sections" holds the
-# item count of each array, then the counts of ids and lemmas (the words
-# are the rest) and the byte length of the strings.
-_ITEMSIZE = {code: array(code).itemsize for code in sorted(set(TYPECODES))}
-
-
-def _snapshot_chunks(t: Taxonomy, fingerprint: str):
-    """The bytes of ``t``'s snapshot, in the order they are written."""
-    strings = "\n".join(chain(t.ids, t.lemmas, t.words)).encode("utf-8")
-    c = t.constants
-    header = {"format": SNAPSHOT_FORMAT.decode(), "fingerprint": fingerprint,
-              "byteorder": sys.byteorder, "itemsize": _ITEMSIZE,
-              "sections": [len(col) for col in t.columns]
-              + [len(t.ids), len(t.lemmas), len(strings)],
-              "root": t.root, "constants": [c.node_max, c.deep_max, c.leaves_max]}
-    yield json.dumps(header).encode("utf-8") + b"\n"
-    yield from t.columns
-    yield strings
-
-
-def _read_snapshot(path: str, fingerprint: str) -> Taxonomy | None:
-    """The taxonomy stored at ``path``, or None unless the file is a whole
-    snapshot in this format, of these sources, for this machine's byte
-    order and item sizes.
-
-    Reading runs no code from the file: the header is JSON, the columns
-    are copied into arrays and the strings are decoded text, and the
-    ``Taxonomy`` constructor rejects columns that do not fit together
-    (offsets that do not end at the length of their flat list, a row index
-    out of range).  Raises ``OSError`` or ``ValueError`` for a file it
-    cannot read or decode.
-    """
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline())
-        body = fh.read()
-    expected = {"format": SNAPSHOT_FORMAT.decode(), "fingerprint": fingerprint,
-                "byteorder": sys.byteorder, "itemsize": _ITEMSIZE}
-    if not isinstance(header, dict) or any(header.get(k) != v for k, v in expected.items()):
-        return None
-    sections, root, constants = header.get("sections"), header.get("root"), header.get("constants")
-    n_columns = len(TYPECODES)
-    if not (_counts(sections, n_columns + 3) and _counts(constants, 3)
-            and isinstance(root, str)):
-        return None
-    sizes = [n * _ITEMSIZE[code] for n, code in zip(sections, TYPECODES)]
-    if sum(sizes) + sections[-1] != len(body):
-        return None
-    columns = []
-    view = memoryview(body)
-    pos = 0
-    for code, size in zip(TYPECODES, sizes):
-        col = array(code)
-        col.frombytes(view[pos:pos + size])
-        columns.append(col)
-        pos += size
-    strings = str(view[pos:], "utf-8").split("\n")
-    n_ids, n_lemmas = sections[n_columns:n_columns + 2]
-    return Taxonomy(tuple(strings[:n_ids]), tuple(strings[n_ids:n_ids + n_lemmas]),
-                    tuple(strings[n_ids + n_lemmas:]), Columns(*columns), root,
-                    TaxonomyConstants(*constants))
-
-
-def _counts(value, n: int) -> bool:
-    """Whether ``value`` is a list of ``n`` non-negative ints."""
-    return (isinstance(value, list) and len(value) == n
-            and all(type(v) is int and v >= 0 for v in value))
 
 
 def _write_snapshot(path: str, t: Taxonomy, fingerprint: str) -> None:
@@ -394,13 +316,13 @@ def _parse_combos(text: str):
 
 
 def cmd_grid(args) -> int:
-    if not args.full and not args.combos:
+    combos = list(bench.FULL_GRID) if args.full else _parse_combos(args.combos or "")
+    if not combos:
         raise UsageError("grid: pass --full or --combos")
     cfg = _ic_config(args)
     expectations = _read_golden(args.golden) if args.golden else []
     t = load_taxonomy(args)
     dataset = bench.load_dataset(args.dataset)
-    combos = list(bench.FULL_GRID) if args.full else _parse_combos(args.combos)
     report = bench.grid_report(t, dataset, combos, cfg, args.lcs_mode,
                                with_literature=args.literature)
     if args.json:

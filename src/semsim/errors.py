@@ -95,6 +95,10 @@ class ZeroVariance(SemsimError):
     """Raised when a correlation input vector is constant."""
 
 
+class NonFiniteScore(SemsimError):
+    """Raised when a correlation input holds a NaN or an infinity."""
+
+
 class AllPairsSkipped(SemsimError):
     """Raised when every pair of a benchmark run was skipped."""
 

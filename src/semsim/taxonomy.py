@@ -16,7 +16,7 @@ and the senses of a word as CSR lists (an offsets array plus one flat
 array), and the eight :class:`NodeStats` fields as one array each.
 ``Taxonomy.row`` maps an id to its row.  The hot paths (the subsumer
 walk, the IC kernels, the LCS and DCS rules) read the columns, and the
-CLI snapshot is a dump of them.
+snapshot that the CLI's ``--cache`` keeps is a dump of them.
 
 Views.  ``nodes``, ``stats`` and ``word_index`` are read-only mappings for
 the API edge.  Iterating one, taking its length or testing membership
@@ -30,6 +30,8 @@ from then on.
 
 from __future__ import annotations
 
+import json
+import sys
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
@@ -138,6 +140,92 @@ TYPECODES = tuple("d" if name in ("inv_depth_sum", "leaf_commonness") else "l"
                   for name in Columns._fields)
 
 
+# The snapshot file: one JSON header line, then the arrays of Columns as
+# raw machine bytes, in their order, then every id, lemma and word,
+# newline-joined as UTF-8 (the parsers split lines on newlines, so no
+# string holds one).  The header's "sections" holds the item count of each
+# array, then the counts of ids and lemmas (the words are the rest) and the
+# byte length of the strings.  Change the format tag whenever this layout,
+# the columns or what freeze stores in them changes, so that a snapshot
+# written by another layout is rebuilt instead of served.
+SNAPSHOT_FORMAT = b"semsim-taxonomy-4"
+_ITEMSIZE = {code: array(code).itemsize for code in sorted(set(TYPECODES))}
+
+
+def _snapshot_chunks(t: Taxonomy, fingerprint: str):
+    """The bytes of ``t``'s snapshot, in the order they are written."""
+    strings = "\n".join(chain(t.ids, t.lemmas, t.words)).encode("utf-8")
+    header = {"format": SNAPSHOT_FORMAT.decode(), "fingerprint": fingerprint,
+              "byteorder": sys.byteorder, "itemsize": _ITEMSIZE,
+              "sections": [len(col) for col in t.columns]
+              + [len(t.ids), len(t.lemmas), len(strings)]}
+    yield json.dumps(header).encode("utf-8") + b"\n"
+    yield from t.columns
+    yield strings
+
+
+def _read_snapshot(path: str, fingerprint: str) -> Taxonomy | None:
+    """The taxonomy stored at ``path``, or None unless the file is a whole
+    snapshot in this format, under ``fingerprint``, for this machine's
+    byte order and item sizes.
+
+    Reading runs no code from the file: the header is JSON, the columns
+    are copied into arrays of the layout's typecodes and the strings are
+    decoded text.  Raises ``OSError`` or ``ValueError`` for a file it
+    cannot read or decode, and ``ValueError`` unless the parts fit
+    together: unique ids and words, exactly one row without parents, one
+    offset per entry plus one for each CSR list, running from 0 to the
+    length of its flat list, row indexes within the node count and one
+    statistics entry per node.  So no read of the taxonomy it returns can
+    index past a column, whatever the file held.
+    """
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline())
+        body = fh.read()
+    expected = {"format": SNAPSHOT_FORMAT.decode(), "fingerprint": fingerprint,
+                "byteorder": sys.byteorder, "itemsize": _ITEMSIZE}
+    if not isinstance(header, dict) or any(header.get(k) != v for k, v in expected.items()):
+        return None
+    sections = header.get("sections")
+    n_columns = len(TYPECODES)
+    if not (isinstance(sections, list) and len(sections) == n_columns + 3
+            and all(type(v) is int and v >= 0 for v in sections)):
+        return None
+    sizes = [n * _ITEMSIZE[code] for n, code in zip(sections, TYPECODES)]
+    if sum(sizes) + sections[-1] != len(body):
+        return None
+    columns = []
+    view = memoryview(body)
+    pos = 0
+    for code, size in zip(TYPECODES, sizes):
+        col = array(code)
+        col.frombytes(view[pos:pos + size])
+        columns.append(col)
+        pos += size
+    c = Columns(*columns)
+    strings = str(view[pos:], "utf-8").split("\n")
+    n_ids, n_lemmas = sections[n_columns:n_columns + 2]
+    ids, lemmas, words = (tuple(strings[:n_ids]), tuple(strings[n_ids:n_ids + n_lemmas]),
+                          tuple(strings[n_ids + n_lemmas:]))
+    n = len(ids)
+    lists = ((c.parent_start, len(c.parent_rows), n), (c.lemma_start, len(lemmas), n),
+             (c.sense_start, len(c.sense_rows), len(words)))
+    for start, total, entries in lists:
+        if len(start) != entries + 1 or start[0] != 0 or start[-1] != total:
+            raise ValueError("CSR counts do not sum to the length of their flat list")
+    for rows in (c.parent_rows, c.sense_rows):
+        if rows and not (min(rows) >= 0 and max(rows) < n):
+            raise ValueError("row index out of range")
+    if any(len(getattr(c, name)) != n for name in STAT_FIELDS):
+        raise ValueError("a statistics column does not have one entry per node")
+    if c.nmih.count(0) != 1:
+        raise ValueError("not exactly one row without parents")
+    t = Taxonomy(ids, dict(zip(ids, range(n))), lemmas, words, c)
+    if len(t.row) != n or len(t._word_row) != len(words):
+        raise ValueError("node ids and words must be unique")
+    return t
+
+
 class _View(Mapping):
     """Read-only mapping over ``keys``, in their order, whose value for a
     key is built from its row by ``build(key, row)`` when it is read."""
@@ -170,34 +258,25 @@ class Taxonomy:
     ``columns`` holds the arrays described in :class:`Columns`.  Treat all
     of them as read-only.
 
-    :func:`freeze` and the CLI's snapshot reader both build a taxonomy
-    through this constructor, which raises ``ValueError`` unless the
-    columns fit together: unique ids and words, a known root, the layout's
-    typecodes, one offset per entry plus one for each CSR list, running
-    from 0 to the length of its flat list, row indexes within the node
-    count and one statistics entry per node.  So no read of a checked
-    taxonomy can index past a column, whatever the file it came from.
+    The constructor validates nothing: it trusts its parts to fit
+    together, so build a taxonomy with :func:`freeze`.  The snapshot
+    reader checks a file's parts before it calls the constructor.  The
+    root is the one row without parents, and the constants come from the
+    columns: the node count, the greatest depth and the number of rows
+    without descendants.
     """
 
-    def __init__(self, ids: tuple[SynsetId, ...], lemmas: tuple[str, ...],
-                 words: tuple[str, ...], columns: Columns, root: SynsetId,
-                 constants: TaxonomyConstants):
-        n = len(ids)
-        row = dict(zip(ids, range(n)))
-        word_row = dict(zip(words, range(len(words))))
-        if not n or len(row) != n or len(word_row) != len(words):
-            raise ValueError("node ids and words must be unique, with at least one node")
-        if root not in row:
-            raise ValueError(f"root {root!r} is not a node")
-        _check_columns(columns, n, len(lemmas), len(words))
+    def __init__(self, ids: tuple[SynsetId, ...], row: dict[SynsetId, int],
+                 lemmas: tuple[str, ...], words: tuple[str, ...], columns: Columns):
         self.ids = ids
         self.row = row
         self.lemmas = lemmas
         self.words = words
         self.columns = columns
-        self.root: SynsetId = root
-        self.constants: TaxonomyConstants = constants
-        self._word_row = word_row
+        self.root: SynsetId = ids[columns.nmih.index(0)]
+        self.constants = TaxonomyConstants(node_max=len(ids), deep_max=max(columns.depth),
+                                           leaves_max=columns.hypo_count.count(0))
+        self._word_row = word_row = dict(zip(words, range(len(words))))
         # memos of pure functions: a fill stores the same value in every thread
         self._senses: dict[str, tuple[SynsetId, ...]] = {}
         self._subsumer_cache: dict[SynsetId, frozenset[SynsetId]] = {}
@@ -274,23 +353,6 @@ class Taxonomy:
         return () if w is None else self._sense_ids(key, w)
 
 
-def _check_columns(c: Columns, n: int, n_lemmas: int, n_words: int) -> None:
-    """Raise ``ValueError`` unless the columns fit ``n`` nodes, ``n_lemmas``
-    lemmas and ``n_words`` words (see :class:`Taxonomy`)."""
-    if tuple(col.typecode for col in c) != TYPECODES:
-        raise ValueError("column typecodes do not match the layout")
-    lists = ((c.parent_start, len(c.parent_rows), n), (c.lemma_start, n_lemmas, n),
-             (c.sense_start, len(c.sense_rows), n_words))
-    for start, total, entries in lists:
-        if len(start) != entries + 1 or start[0] != 0 or start[-1] != total:
-            raise ValueError("CSR counts do not sum to the length of their flat list")
-    for rows in (c.parent_rows, c.sense_rows):
-        if rows and not (min(rows) >= 0 and max(rows) < n):
-            raise ValueError("row index out of range")
-    if any(len(getattr(c, name)) != n for name in STAT_FIELDS):
-        raise ValueError("a statistics column does not have one entry per node")
-
-
 def _offsets(lists) -> array:
     """CSR offsets of a sequence of lists."""
     return array("l", accumulate(map(len, lists), initial=0))
@@ -332,22 +394,18 @@ def freeze(raw: RawGraph, depth_mode: str = "min",
     pinned = raw.pinned_root
     if pinned is not None and pinned not in parents:
         parents[pinned] = []
-    orphans = sorted(n for n, ps in parents.items() if not ps)
-    root = None  # no parentless node: the Kahn pass below names a cycle
+    # with no parentless node at all, the Kahn pass below names a cycle
+    orphans = [n for n, ps in parents.items() if not ps]
     if pinned is not None:
         if parents[pinned]:
             raise PinnedRootHasParents(f"pinned root {pinned!r} has parents")
         for n in orphans:
             if n != pinned:
                 parents[n] = [pinned]
-        root = pinned
-    elif len(orphans) == 1:
-        root = orphans[0]
-    elif orphans:
+    elif len(orphans) > 1:
         parents[SYNTHETIC_ROOT] = []
         for n in orphans:
             parents[n] = [SYNTHETIC_ROOT]
-        root = SYNTHETIC_ROOT
 
     ids = tuple(parents)
     n = len(ids)
@@ -418,8 +476,6 @@ def freeze(raw: RawGraph, depth_mode: str = "min",
                 hist = by_subs[a]
                 hist[sc] = hist.get(sc, 0) + 1
 
-    constants = TaxonomyConstants(node_max=n, deep_max=max(depth),
-                                  leaves_max=n_children.count(0))
     lemma_lists = [tuple(raw.lemmas.get(node, (node,))) for node in ids]
     if word_index is None:
         built: dict[str, list[SynsetId]] = {}
@@ -447,6 +503,6 @@ def freeze(raw: RawGraph, depth_mode: str = "min",
         inv_depth_sum=array("d", [sum(c / k for k, c in sorted(h.items())) for h in by_depth]),
         leaf_commonness=array("d", [sum(c / k for k, c in sorted(h.items())) for h in by_subs]),
     )
-    return Taxonomy(ids, tuple(chain.from_iterable(lemma_lists)), tuple(word_index),
-                    columns, root, constants)
+    return Taxonomy(ids, row, tuple(chain.from_iterable(lemma_lists)), tuple(word_index),
+                    columns)
 

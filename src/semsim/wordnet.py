@@ -32,7 +32,9 @@ def parse_wordnet(dir_path) -> tuple[RawGraph, dict[str, tuple[SynsetId, ...]]]:
 
     The license header (lines starting with two spaces) is skipped.  Every
     synset line must start at the byte offset its own offset field claims,
-    which guards against truncated or re-encoded copies of the database.
+    which guards against truncated or re-encoded copies of the database,
+    and its pointers must end where its pointer count says, at the ``|``
+    that opens the gloss.
     A line of either file that is not UTF-8 raises ``MalformedLine``.
     """
     data_path = os.path.join(dir_path, "data.noun")
@@ -120,6 +122,8 @@ def _parse_data_noun(path):
                     elif symbol not in HYPONYM_SYMBOLS:
                         continue  # meronyms and the other relations
                     links.append((offset, symbol, target))
+                if fields[pos:pos + 1] != ["|"]:
+                    raise ValueError(f"no '|' gloss field after {p_cnt} pointers")
             except (IndexError, ValueError) as exc:
                 raise MalformedLine(path, line_no, str(exc), byte_offset=line_start) from None
             sid = synset_id(offset)

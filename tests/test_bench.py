@@ -10,7 +10,8 @@ from hypothesis import given, strategies as st
 from semsim.bench import (FULL_GRID, BenchmarkDataset, evaluate, grid_report,
                           load_dataset, pearson)
 from semsim.errors import (AllPairsSkipped, EmptyDataset, LengthMismatch,
-                           MalformedLine, MalformedRow, MissingFile, ZeroVariance)
+                           MalformedLine, MalformedRow, MissingFile, NonFiniteScore,
+                           ZeroVariance)
 from semsim.ic import ICModelId, ic_table
 from semsim.similarity import SimMeasureId, word_similarity
 from semsim.taxonomy import RawGraph, freeze
@@ -59,6 +60,13 @@ class TestPearson:
         with pytest.raises(LengthMismatch):
             pearson([1], [1])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_input(self, bad):
+        # min(1.0, nan) is 1.0, so a clamped NaN would read as a perfect score
+        for xs, ys in (([1, 2, bad], [1, 2, 3]), ([1, 2, 3], [bad, 2, 3])):
+            with pytest.raises(NonFiniteScore):
+                pearson(xs, ys)
+
 
 class TestLoadDataset:
     def test_bundled_mc30(self):
@@ -86,6 +94,14 @@ class TestLoadDataset:
     def test_bad_score_mid_file(self, tmp_path):
         p = tmp_path / "bad.tsv"
         p.write_text("car\tautomobile\t3.92\ngem\tjewel\toops\n")
+        with pytest.raises(MalformedRow) as err:
+            load_dataset(p)
+        assert err.value.row_no == 2
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-Infinity"])
+    def test_non_finite_score(self, tmp_path, score):
+        p = tmp_path / "bad.tsv"
+        p.write_text(f"car\tautomobile\t3.92\ngem\tjewel\t{score}\n")
         with pytest.raises(MalformedRow) as err:
             load_dataset(p)
         assert err.value.row_no == 2

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semsim import cli
+from semsim import cli, taxonomy
 from semsim.cli import main
 from semsim.ic import ICModelId, ic_table
 from semsim.similarity import SimMeasureId, word_similarity
@@ -20,6 +20,7 @@ from semsim.wordnet import parse_edgelist
 
 from conftest import DATA, FIXTURES, raw_dags, word_indexes, write_wordnet
 from test_golden_digest import CONFIGS, outcome
+from test_taxonomy import MISFITS, toy_parts, write_parts
 
 CHAIN = ["--edgelist", str(FIXTURES / "chain.tsv")]
 
@@ -207,6 +208,14 @@ class TestEval:
         assert code == 1 and out == ""
         assert err.startswith("semsim: ") and "nope.tsv" in err
 
+    def test_nan_score_exits_1(self, capsys, tmp_path):
+        dataset = tmp_path / "nan.tsv"
+        dataset.write_text("mid\tleaf\t3.0\nmid\ttop\tnan\nleaf\ttop\t1.0\n")
+        code, out, err = run(capsys, *CHAIN, "eval", "--dataset", str(dataset),
+                             "--ic", "seco", "--measure", "lin")
+        assert (code, out) == (1, "")
+        assert err == f"semsim: {dataset}:2: score is not finite: 'nan'\n"
+
     def test_report_and_json_file(self, capsys, tmp_path, toy_dataset):
         out_json = tmp_path / "report.json"
         code, out, _ = run(capsys, *CHAIN, "eval", "--dataset", toy_dataset,
@@ -239,6 +248,14 @@ class TestGrid:
     def test_requires_combos_or_full(self, capsys, toy_dataset):
         code, _, err = run(capsys, *CHAIN, "grid", "--dataset", toy_dataset)
         assert code == 2
+
+    @pytest.mark.parametrize("combos", [",", " , ,", ""])
+    def test_combos_without_a_pair_exit_2_before_loading(self, capsys, tmp_path, combos):
+        missing = str(tmp_path / "absent.tsv")  # loading it would exit 1
+        code, out, err = run(capsys, "--edgelist", missing, "grid", "--dataset", missing,
+                             "--combos", combos)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "semsim: error: grid: pass --full or --combos"
 
     def test_golden_pass_and_fail(self, capsys, tmp_path, toy_dataset):
         code, out, _ = run(capsys, *CHAIN, "grid", "--dataset", toy_dataset,
@@ -346,25 +363,30 @@ class TestSnapshotCache:
     def test_snapshot_cache_round_trip(self, capsys, cached):
         cache, args, out, good = cached
         header = json.loads(good[:good.index(b"\n")])
-        assert header["format"] == cli.SNAPSHOT_FORMAT.decode() == "semsim-taxonomy-3"
+        assert header["format"] == taxonomy.SNAPSHOT_FORMAT.decode() == "semsim-taxonomy-4"
         assert cache.stat().st_mode & 0o777 == 0o600
         assert run(capsys, *args) == (0, out, "")
         assert cache.read_bytes() == good
-        # corrupt bytes, truncated sections and payloads of the wrong type
+        # corrupt bytes, truncated sections, payloads of the wrong type, a
+        # section count missing or negative, and counts that add up to the
+        # file's length but move an item from one column to the next
+        sections = header["sections"]
         for junk in (b"corrupt", good[:len(good) // 2], good[:-1], b"[1, 2, 3]\n" + good,
                      rewrite_header(good, sections="junk"),
-                     rewrite_header(good, constants=[1, 2]),
-                     rewrite_header(good, root=None)):
+                     rewrite_header(good, sections=sections[:-1]),
+                     rewrite_header(good, sections=[-1] + sections[1:]),
+                     rewrite_header(good, sections=[sections[0] + 1, sections[1] - 1]
+                                    + sections[2:])):
             self.assert_rebuilt(capsys, cached, junk)
 
     def test_snapshot_of_another_format_is_rebuilt(self, capsys, cached, monkeypatch):
         cache, args, parsed, good = cached
         header = json.loads(good[:good.index(b"\n")])
         chain = freeze(parse_edgelist(FIXTURES / "chain.tsv"))
-        cache.write_bytes(b"".join(cli._snapshot_chunks(chain, header["fingerprint"])))
+        cache.write_bytes(b"".join(taxonomy._snapshot_chunks(chain, header["fingerprint"])))
         _, served, _ = run(capsys, *args)
         assert served != parsed  # a matching fingerprint is served as stored
-        monkeypatch.setattr(cli, "SNAPSHOT_FORMAT", b"another layout")
+        monkeypatch.setattr(taxonomy, "SNAPSHOT_FORMAT", b"another layout")
         _, rebuilt, _ = run(capsys, *args)
         assert rebuilt == parsed
 
@@ -394,6 +416,15 @@ class TestSnapshotCache:
         at = header_end + (sections[0] + item) * size
         junk = good[:at] + array("l", [value(nodes)]).tobytes() + good[at + size:]
         self.assert_rebuilt(capsys, cached, junk)
+
+    @pytest.mark.parametrize("name", MISFITS)
+    def test_parts_that_do_not_fit_are_rebuilt(self, capsys, cached, tmp_path, name):
+        # written by the snapshot writer under the sources' fingerprint
+        good = cached[3]
+        fingerprint = json.loads(good[:good.index(b"\n")])["fingerprint"]
+        misfit = tmp_path / "misfit"
+        write_parts(misfit, MISFITS[name](toy_parts()), fingerprint)
+        self.assert_rebuilt(capsys, cached, misfit.read_bytes())
 
     def test_flipped_byte_order_is_rebuilt(self, capsys, cached):
         other = "big" if sys.byteorder == "little" else "little"
@@ -451,7 +482,7 @@ class TestSnapshotFormat:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "snapshot")
             cli._write_snapshot(path, t, "fingerprint")
-            back = cli._read_snapshot(path, "fingerprint")
+            back = taxonomy._read_snapshot(path, "fingerprint")
         assert (back.root, back.constants) == (t.root, t.constants)
         for view in ("nodes", "stats", "word_index"):
             assert [(k, repr(v)) for k, v in getattr(back, view).items()] == \

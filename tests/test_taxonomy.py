@@ -2,12 +2,14 @@
 
 import random
 from array import array
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from semsim.errors import CycleDetected, EmptyGraph, UnknownSynset
-from semsim.taxonomy import RawGraph, SYNTHETIC_ROOT, Taxonomy, freeze
+from semsim.taxonomy import (RawGraph, SYNTHETIC_ROOT, Taxonomy, TaxonomyConstants,
+                             _read_snapshot, _snapshot_chunks, freeze)
 
 from conftest import brute_closure, build, children_of, random_taxonomy, raw_dags
 
@@ -212,6 +214,30 @@ class TestRandomDagProperties:
                     assert t.stats[node].nmih == 0
 
     @settings(max_examples=150, deadline=None)
+    @given(raw_dags())
+    def test_root_and_constants_follow_from_the_raw_graph(self, drawn):
+        raw, _ = drawn
+        parents = {node: list(ps) for node, ps in raw.parents.items()}
+        orphans = [node for node, ps in parents.items() if not ps]
+        if len(orphans) > 1:
+            parents[SYNTHETIC_ROOT] = []
+            for node in orphans:
+                parents[node] = [SYNTHETIC_ROOT]
+        [root] = [node for node, ps in parents.items() if not ps]
+        n_leaves = len(parents.keys() - {p for ps in parents.values() for p in ps})
+        for depth_mode, pick in (("min", min), ("max", max)):
+            depth = {}
+
+            def of(node):
+                if node not in depth:
+                    depth[node] = pick([of(p) + 1 for p in parents[node]], default=0)
+                return depth[node]
+            deep_max = max(map(of, parents))
+            t = freeze(raw, depth_mode=depth_mode)
+            assert (t.root, t.constants) == (
+                root, TaxonomyConstants(len(parents), deep_max, n_leaves))
+
+    @settings(max_examples=150, deadline=None)
     @given(raw_dags(), st.randoms(use_true_random=False))
     def test_freeze_ignores_the_order_of_its_input(self, drawn, rnd):
         raw, depth_mode = drawn
@@ -271,33 +297,51 @@ class TestRandomDagProperties:
                 assert shuffled.subsumers(node) == t.subsumers(node)
 
 
-class TestColumns:
-    @pytest.fixture
-    def parts(self):
-        t = freeze(RawGraph(parents={"r": [], "a": ["r"], "b": ["r", "a"]}),
-                   word_index={"x": ["a"], "y": ["b", "r"]})
-        return dict(ids=t.ids, lemmas=t.lemmas, words=t.words, columns=t.columns,
-                    root=t.root, constants=t.constants)
+def toy_parts():
+    """The parts of a three-node taxonomy; word "y" has two senses."""
+    t = freeze(RawGraph(parents={"r": [], "a": ["r"], "b": ["r", "a"]}),
+               word_index={"x": ["a"], "y": ["b", "r"]})
+    return dict(ids=t.ids, row=t.row, lemmas=t.lemmas, words=t.words, columns=t.columns)
 
-    def test_parts_build_the_same_taxonomy(self, parts):
-        t = Taxonomy(**parts)
+
+def with_column(name, *values):
+    """A change to parts that replaces column ``name`` with ``values``."""
+    return lambda p: dict(p, columns=p["columns"]._replace(**{name: array("l", values)}))
+
+
+# Changes to toy_parts() after which the parts no longer fit together.  The
+# Taxonomy constructor trusts its parts, so only the snapshot reader checks.
+MISFITS = {
+    "duplicate id": lambda p: dict(p, ids=("r", "a", "r")),
+    "duplicate word": lambda p: dict(p, words=("x", "x")),
+    "lemmas short of offsets": lambda p: dict(p, lemmas=p["lemmas"][:-1]),
+    "row past the last node": with_column("sense_rows", 0, 1, 3),
+    "negative row": with_column("sense_rows", 0, -1, 1),
+    "one sense offset short": with_column("sense_start", 0, 3),
+    "offsets past the flat list": with_column("parent_start", 0, 0, 1, 4),
+    "short stats column": with_column("depth", 0, 1),
+    "no parentless row": with_column("nmih", 1, 1, 2),
+    "two parentless rows": with_column("nmih", 0, 0, 2),
+}
+
+
+def write_parts(path, parts, fingerprint):
+    """Write ``parts`` to ``path`` with the snapshot writer."""
+    path.write_bytes(b"".join(_snapshot_chunks(SimpleNamespace(**parts), fingerprint)))
+
+
+class TestColumns:
+    def test_parts_build_the_same_taxonomy(self):
+        t = Taxonomy(**toy_parts())
         assert list(t.nodes) == ["r", "a", "b"] and t.nodes["b"].parents == ("a", "r")
         assert t.stats["r"].hypo_count == 2 and t.senses("y") == ("b", "r")
+        assert (t.root, t.constants) == ("r", TaxonomyConstants(3, 1, 1))
 
-    @pytest.mark.parametrize("change", [
-        lambda p: dict(p, ids=("r", "a", "r")),
-        lambda p: dict(p, words=("x", "x")),
-        lambda p: dict(p, root="ghost"),
-        lambda p: dict(p, lemmas=p["lemmas"][:-1]),
-        lambda p: dict(p, columns=p["columns"]._replace(sense_rows=array("l", [0, 1, 3]))),
-        lambda p: dict(p, columns=p["columns"]._replace(sense_rows=array("l", [0, -1, 1]))),
-        lambda p: dict(p, columns=p["columns"]._replace(sense_start=array("l", [0, 3]))),
-        lambda p: dict(p, columns=p["columns"]._replace(parent_start=array("l", [0, 0, 1, 4]))),
-        lambda p: dict(p, columns=p["columns"]._replace(depth=array("l", [0, 1]))),
-        lambda p: dict(p, columns=p["columns"]._replace(nmih=array("d", [0, 1, 2]))),
-    ], ids=["duplicate id", "duplicate word", "unknown root", "lemmas short of offsets",
-            "row past the last node", "negative row", "one sense offset short",
-            "offsets past the flat list", "short stats column", "float nmih"])
-    def test_columns_that_do_not_fit_are_rejected(self, parts, change):
+    @pytest.mark.parametrize("name", MISFITS)
+    def test_columns_that_do_not_fit_are_rejected(self, tmp_path, name):
+        path = tmp_path / "snapshot"
+        write_parts(path, toy_parts(), "fingerprint")
+        assert _read_snapshot(path, "fingerprint").senses("y") == ("b", "r")
+        write_parts(path, MISFITS[name](toy_parts()), "fingerprint")
         with pytest.raises(ValueError):
-            Taxonomy(**change(parts))
+            _read_snapshot(path, "fingerprint")

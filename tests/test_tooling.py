@@ -8,11 +8,12 @@ scipy and hypothesis are for the tests alone.
 
 import ast
 import importlib
+import json
 import re
 import sys
 
-from semsim import cli
-from semsim.taxonomy import TYPECODES, Columns
+from semsim import taxonomy
+from semsim.taxonomy import TYPECODES, Columns, RawGraph, freeze
 
 from conftest import REPO
 
@@ -78,12 +79,32 @@ def test_every_traced_name_exists():
 
 
 def test_snapshot_format_pins_the_column_layout():
-    # a snapshot stores the columns in this order with these typecodes and
-    # is served whenever its format tag matches; so a layout change must
-    # come with a new SNAPSHOT_FORMAT, and with it a new pin here
-    assert (cli.SNAPSHOT_FORMAT, Columns._fields, TYPECODES) == (
-        b"semsim-taxonomy-3",
+    # a snapshot stores the columns in this order with these typecodes,
+    # under a header with these keys, and is served whenever its format tag
+    # matches; so a layout change must come with a new SNAPSHOT_FORMAT, and
+    # with it a new pin here
+    t = freeze(RawGraph(parents={"r": [], "a": ["r"]}))
+    header = json.loads(next(taxonomy._snapshot_chunks(t, "fingerprint")))
+    assert (taxonomy.SNAPSHOT_FORMAT, Columns._fields, TYPECODES, set(header)) == (
+        b"semsim-taxonomy-4",
         ("parent_start", "parent_rows", "lemma_start", "sense_start", "sense_rows",
          "depth", "depth_longest", "hypo_count", "leaf_count", "subsumer_count", "nmih",
          "inv_depth_sum", "leaf_commonness"),
-        ("l",) * 11 + ("d", "d"))
+        ("l",) * 11 + ("d", "d"),
+        {"format", "fingerprint", "byteorder", "itemsize", "sections"})
+
+
+def test_only_taxonomy_knows_the_column_layout():
+    # the layout and its snapshot codec are one decision, kept in one module
+    layout = {"Columns", "TYPECODES", "STAT_FIELDS", "SNAPSHOT_FORMAT"}
+    found = []
+    for path in sorted((REPO / "src" / "semsim").glob("*.py")):
+        if path.name == "taxonomy.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                          if alias.name in layout]
+            elif isinstance(node, ast.Attribute) and node.attr in layout:
+                found.append(f"{path.name}:{node.lineno} {node.attr}")
+    assert not found

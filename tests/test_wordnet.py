@@ -102,6 +102,18 @@ class TestDataNoun:
             parse_wordnet(tmp_path)
         assert (err.value.line_no, err.value.byte_offset) == (4, int(offsets[1]))
 
+    @pytest.mark.parametrize("count", ["002", "000"])
+    def test_pointer_count_must_end_at_the_gloss(self, tmp_path, count):
+        write_wordnet(tmp_path, [(["entity"], []), (["thing"], [("@", 0, "n")])])
+        text = (tmp_path / "data.noun").read_text()
+        line = "00000116 03 n 01 thing 0 001 @ 00000068 n 0000 | crafted gloss  \n"
+        assert text.endswith(line)
+        # "002": the gloss would be read as a second pointer
+        (tmp_path / "data.noun").write_text(text.replace(" 001 @", f" {count} @"))
+        with pytest.raises(MalformedLine) as err:
+            parse_wordnet(tmp_path)
+        assert (err.value.line_no, err.value.byte_offset) == (4, 116)
+
     @pytest.mark.parametrize("answer, warns", [("@", True), ("@i", False)])
     def test_instance_hyponym_needs_an_instance_hypernym_back(self, tmp_path, caplog,
                                                              answer, warns):
