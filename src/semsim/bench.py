@@ -1,9 +1,11 @@
 """Benchmark loading, Pearson correlation and evaluation grids.
 
-Machine scores come from :func:`semsim.similarity.word_similarity`; pairs
-whose words have no noun sense are marked skipped and excluded from the
-correlation (they are never zero-filled).  Reported correlations are
-rounded to two decimals, with the raw value kept alongside.
+Machine scores are those of :func:`semsim.similarity.word_similarity`, the
+per-pair path, computed over one pair plan per dataset that every table
+and measure shares; pairs whose words have no noun sense are marked
+skipped and excluded from the correlation (they are never zero-filled).
+Reported correlations are rounded to two decimals, with the raw value
+kept alongside.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (AllPairsSkipped, EmptyDataset, LengthMismatch, MalformedRow,
-                     MissingFile, NonFiniteScore, UnknownWord, ZeroVariance)
+                     MissingFile, NonFiniteScore, ZeroVariance)
 from .ic import ICConfig, ICModelId, ICTable, ic_table
-from .similarity import SimMeasureId, word_similarity
+from .similarity import SimMeasureId, _formula, dcs
 from .taxonomy import Taxonomy
 from .wordnet import utf8_lines
 
@@ -144,32 +146,76 @@ def pearson(xs, ys) -> float:
     return max(-1.0, min(1.0, r))
 
 
+class _PairPlan:
+    """The taxonomy-only work of scoring a dataset, shared by every combo.
+
+    ``spans`` holds, per dataset pair, the range of its sense pairs in
+    ``word_similarity_detail``'s order, or ``None`` when a word has no noun
+    sense.  Sense pair i is ``(a[i], b[i])``, ``common[i]`` its common
+    subsumers and ``deepest[i]`` its ``max_depth`` LCS candidates, both in
+    the set's iteration order, so every max sees the pair kernel's order.
+    The DCS is computed on first use, by the proposed measure.
+    """
+
+    def __init__(self, t: Taxonomy, dataset: BenchmarkDataset):
+        self.t, self.dataset, self._dcs = t, dataset, None
+        self.spans, self.a, self.b, self.common, self.deepest = [], [], [], [], []
+        subsumers, depth_longest, row = t.subsumers, t.columns.depth_longest, t.row
+        for w1, w2, _ in dataset.pairs:
+            senses1, senses2 = t.senses(w1), t.senses(w2)
+            if not (senses1 and senses2):
+                self.spans.append(None)
+                continue
+            self.spans.append((len(self.a), len(self.a) + len(senses1) * len(senses2)))
+            for a in senses1:
+                for b in senses2:
+                    cs = subsumers(a) & subsumers(b)
+                    deepest = max(depth_longest[row[c]] for c in cs)
+                    self.a.append(a)
+                    self.b.append(b)
+                    self.common.append(cs)
+                    self.deepest.append([c for c in cs if depth_longest[row[c]] == deepest])
+
+    def score(self, table: ICTable, measure: SimMeasureId, lcs_mode: str) -> EvalResult:
+        dataset = self.dataset
+        if not any(self.spans):
+            raise AllPairsSkipped(f"no scorable pairs in {dataset.name}")
+        formula = _formula(self.t, table, measure, lcs_mode)
+        if measure is SimMeasureId.PROPOSED:
+            if self._dcs is None:
+                self._dcs = [dcs(self.t, a, b) for a, b in zip(self.a, self.b)]
+            values = list(map(formula, self.a, self.b, self._dcs))
+        else:
+            ic = table.__getitem__
+            lcs_sets = self.deepest if lcs_mode == "max_depth" else self.common
+            values = list(map(formula, map(ic, self.a), map(ic, self.b),
+                              [max(map(ic, cs)) for cs in lcs_sets]))
+        per_pair: list[PairScore] = []
+        machine: list[float] = []
+        human: list[float] = []
+        for (w1, w2, h), span in zip(dataset.pairs, self.spans):
+            if span is None:
+                per_pair.append(PairScore(w1, w2, h, None, "skipped_unknown_word"))
+                continue
+            score = max(values[span[0]:span[1]])  # ties keep the earliest sense pair
+            per_pair.append(PairScore(w1, w2, h, score, "ok"))
+            machine.append(score)
+            human.append(h)
+        raw = pearson(machine, human)
+        return EvalResult(dataset=dataset.name, ic_model=table.model, measure=measure,
+                          per_pair=tuple(per_pair), pearson=round(raw, 2),
+                          pearson_raw=raw, n_used=len(machine))
+
+
 def evaluate(t: Taxonomy, dataset: BenchmarkDataset, table: ICTable,
              measure: SimMeasureId, lcs_mode: str = "max_depth") -> EvalResult:
     """Score every dataset pair and correlate against the human ratings.
 
     The IC table is the only source of the model: its values score the
-    pairs and its ``model`` names the result.
+    pairs and its ``model`` names the result.  ``AllPairsSkipped`` comes
+    before any check on the table, measure or LCS rule.
     """
-    measure = SimMeasureId(measure)
-    per_pair: list[PairScore] = []
-    machine: list[float] = []
-    human: list[float] = []
-    for w1, w2, h in dataset.pairs:
-        try:
-            score = word_similarity(t, table, measure, w1, w2, lcs_mode)
-        except UnknownWord:
-            per_pair.append(PairScore(w1, w2, h, None, "skipped_unknown_word"))
-            continue
-        per_pair.append(PairScore(w1, w2, h, score, "ok"))
-        machine.append(score)
-        human.append(h)
-    if not machine:
-        raise AllPairsSkipped(f"no scorable pairs in {dataset.name}")
-    raw = pearson(machine, human)
-    return EvalResult(dataset=dataset.name, ic_model=table.model, measure=measure,
-                      per_pair=tuple(per_pair), pearson=round(raw, 2),
-                      pearson_raw=raw, n_used=len(machine))
+    return _PairPlan(t, dataset).score(table, SimMeasureId(measure), lcs_mode)
 
 
 # Correlations quoted from the literature for report context.  These are
@@ -253,15 +299,17 @@ class GridReport:
 def grid_report(t: Taxonomy, dataset: BenchmarkDataset, combos,
                 cfg: ICConfig = ICConfig(), lcs_mode: str = "max_depth",
                 with_literature: bool = False) -> GridReport:
-    """Run a list of (ic_model, measure) combos over one dataset."""
+    """Run a list of (ic_model, measure) combos over one dataset, sharing
+    one pair plan and one table per model among them."""
     combos = [(ICModelId(m), SimMeasureId(s)) for m, s in combos]
     if not combos:
         raise ValueError("combo list is empty")
+    plan = _PairPlan(t, dataset)
     tables: dict[ICModelId, ICTable] = {}
     results = []
     for model, measure in combos:
         if model not in tables:
             tables[model] = ic_table(t, model, cfg)
-        results.append(evaluate(t, dataset, tables[model], measure, lcs_mode))
+        results.append(plan.score(tables[model], measure, lcs_mode))
     return GridReport(dataset=dataset.name, results=tuple(results),
                       literature=LITERATURE_BASELINES if with_literature else ())

@@ -311,7 +311,7 @@ def _parse_combos(text: str):
             model, measure = chunk.split(":")
             combos.append((ICModelId(model.strip()), SimMeasureId(measure.strip())))
         except ValueError:
-            raise SemsimError(f"bad combo {chunk!r}, expected ic:measure") from None
+            raise UsageError(f"bad combo {chunk!r}, expected ic:measure") from None
     return combos
 
 

@@ -7,7 +7,9 @@ the log base, the root's commonness), picks the statistics columns it
 reads and returns a pure function of one node's row.  :func:`ic_table`
 resolves that kernel and returns a lazy :class:`ICTable`: a node's IC is
 computed on its first read and kept, so a query pays only for the nodes
-it reads.  Conventions shared by all of them:
+it reads.  The kernel's maximum over every node, which batet and
+``normalize_unbounded`` read, is one full pass per taxonomy, model and
+config, kept in the taxonomy.  Conventions shared by all of them:
 
 * IC of the root is exactly 0; a single-node taxonomy yields 0 everywhere.
 * Log ratios (numerator and denominator both logs of counts) are base
@@ -86,14 +88,15 @@ class ICTable:
     same node store the same float, so the table is safe to share.
 
     ``values`` is a read-only view of the values computed so far, in the
-    order they were first read.  ``max_ic`` costs one kernel pass over
-    every node on its first read, which stores no value, and is kept from
-    then on; of the measures only batet reads it.
+    order they were first read.  ``max_ic`` is ``full_max()``, by default
+    one kernel pass over every row, which stores no value; of the measures
+    only batet reads it.  :func:`ic_table` passes the taxonomy's memo.
     """
 
     def __init__(self, model: ICModelId, rows: Mapping[SynsetId, Any],
                  kernel: Callable[[Any], float], normalized: bool = False,
-                 config: ICConfig = ICConfig()):
+                 config: ICConfig = ICConfig(), *,
+                 full_max: Callable[[], float] | None = None):
         self.model = model
         self.normalized = normalized
         self.config = config
@@ -101,6 +104,7 @@ class ICTable:
         self._kernel = kernel
         self._values: dict[SynsetId, float] = {}
         self.values: Mapping[SynsetId, float] = MappingProxyType(self._values)
+        self._full_max = full_max or (lambda: max(map(kernel, rows.values())))
         self._max_ic: float | None = None
 
     def __getitem__(self, synset_id: SynsetId) -> float:
@@ -118,7 +122,7 @@ class ICTable:
     @property
     def max_ic(self) -> float:
         if self._max_ic is None:
-            self._max_ic = max(map(self._kernel, self._rows.values()))
+            self._max_ic = self._full_max()
         return self._max_ic
 
     @property
@@ -292,19 +296,23 @@ def _kernel(t: Taxonomy, model: ICModelId, cfg: ICConfig) -> Kernel:
 def ic_table(t: Taxonomy, model: ICModelId, cfg: ICConfig = ICConfig()) -> ICTable:
     """The model's IC table over ``t``, optionally rescaled into [0, 1].
 
-    The checks on ``cfg`` run here, and so does the one full kernel pass
-    that ``normalize_unbounded`` needs for an unbounded model's maximum;
-    every other value is computed when it is first read.  An all-zero
-    unbounded table counts as normalized as it is.
+    The checks on ``cfg`` run here; every value is computed when it is
+    first read.  The kernel's maximum, which ``normalize_unbounded`` needs
+    for an unbounded model, is one full pass per taxonomy, model and config,
+    kept in the taxonomy.  An all-zero unbounded table counts as normalized
+    as it is.
     """
     model = ICModelId(model)
     kernel = _kernel(t, model, cfg)
-    normalized = cfg.normalize_unbounded and model not in BOUNDED_MODELS
-    if normalized:
-        top = max(map(kernel, t.row.values()))
-        if top > 0.0:
-            raw = kernel
 
-            def kernel(r: int) -> float:
-                return raw(r) / top
-    return ICTable(model, t.row, kernel, normalized, cfg)
+    def raw_max() -> float:
+        if (model, cfg) not in t._max_ic:
+            t._max_ic[model, cfg] = max(map(kernel, t.row.values()))
+        return t._max_ic[model, cfg]
+
+    normalized = cfg.normalize_unbounded and model not in BOUNDED_MODELS
+    top = raw_max() if normalized else 0.0
+    if top > 0.0:  # the largest value is then top / top
+        return ICTable(model, t.row, lambda r: kernel(r) / top, True, cfg,
+                       full_max=lambda: top / top)
+    return ICTable(model, t.row, kernel, normalized, cfg, full_max=raw_max)

@@ -4,11 +4,13 @@ All operations are reads over a frozen taxonomy and an IC table, whose
 lazy fills are idempotent, so unbounded concurrent callers are safe.  A
 score fills only the IC of the two senses and of nodes that subsume both.
 
-Every measure is scored through one pair kernel, built once per call by
-``_pair_kernel`` after its checks on the measure, the table and the LCS
-rule.  Five measures are closed forms of IC(a), IC(b) and the IC of the
-least common subsumer (LCS), listed in ``_FORMULAS``; only ``proposed``
-needs the disjoint common subsumers.  Two conventions deserve a note:
+``word_similarity`` is the per-pair path, through one pair kernel built
+per call by ``_pair_kernel``.  The kernel and dataset scoring in
+:mod:`semsim.bench` take their checks on the measure, the table and the
+LCS rule, and their formulas, from ``_formula``.  Five measures are closed
+forms of IC(a), IC(b) and the IC of the least common subsumer (LCS); only
+``proposed`` needs the disjoint common subsumers.  Two conventions
+deserve a note:
 
 * The LCS rule picks one IC from the pair's common-subsumer set, which is
   never empty because the root subsumes every node.  ``"max_depth"``
@@ -73,7 +75,7 @@ def dcs(t: Taxonomy, a: SynsetId, b: SynsetId) -> tuple[SynsetId, ...]:
 # Four closed-form measures, as functions of IC(a), IC(b) and IC(lcs).
 # Jiang-Conrath maps the IC distance linearly onto 1 - distance/2, which
 # lands in [0, 1] for a bounded table.  Batet, which also needs the table
-# maximum, is built in _pair_kernel.
+# maximum, is built in _formula.
 _FORMULAS: dict[SimMeasureId, Callable[[float, float, float], float]] = {
     SimMeasureId.RESNIK: lambda ia, ib, lcs: lcs,
     SimMeasureId.LIN: lambda ia, ib, lcs:
@@ -84,9 +86,10 @@ _FORMULAS: dict[SimMeasureId, Callable[[float, float, float], float]] = {
 }
 
 
-def _pair_kernel(t: Taxonomy, ic: ICTable, measure: SimMeasureId,
-                 lcs_mode: str) -> Callable[[SynsetId, SynsetId], float]:
-    """The measure as a function of one sense pair, with its checks done.
+def _formula(t: Taxonomy, ic: ICTable, measure: SimMeasureId, lcs_mode: str) -> Callable:
+    """The measure as a function of IC(a), IC(b) and IC(lcs), with its checks
+    done; for proposed, a function of the pair and its DCS members, which it
+    computes itself when not given them.
 
     Raises ``ValueError`` for an unknown LCS rule, ``UnboundedIC`` for the
     proposed measure on an unbounded table and ``DegenerateTable`` for
@@ -94,34 +97,44 @@ def _pair_kernel(t: Taxonomy, ic: ICTable, measure: SimMeasureId,
     """
     if lcs_mode not in _LCS_MODES:
         raise ValueError(f"lcs_mode must be 'max_depth' or 'max_ic', got {lcs_mode!r}")
-    if measure is SimMeasureId.PROPOSED:
-        if not ic.bounded:
-            raise UnboundedIC(
-                f"{ic.model} values exceed [0, 1]; normalize the table first")
-
-        def proposed(a: SynsetId, b: SynsetId) -> float:
-            # mean over the DCS members d of IC(d)/(IC(a)+1) + IC(d)/(IC(b)+1)
-            members = dcs(t, a, b)
-            ia1 = ic[a] + 1.0
-            ib1 = ic[b] + 1.0
-            total = 0.0
-            for d in members:
-                total += ic[d] / ia1 + ic[d] / ib1
-            return total / len(members)
-        return proposed
-
+    formula = _FORMULAS.get(measure)
+    if formula is not None:
+        return formula
     if measure is SimMeasureId.BATET:
-        # log-scales the IC distance against twice the table maximum, which
-        # a lazy table computes in one full pass on its first read
+        # log-scales the IC distance against twice the table maximum
         max_ic = ic.max_ic
         if max_ic <= 0.0:
             raise DegenerateTable(f"{ic.model} table has max_ic 0")
         base = ic.config.log_base_absolute
 
-        def formula(ia: float, ib: float, lcs: float) -> float:
+        def batet(ia: float, ib: float, lcs: float) -> float:
             return -math.log((ia + ib - 2.0 * lcs + 1.0) / (2.0 * max_ic), base)
-    else:
-        formula = _FORMULAS[measure]
+        return batet
+    if not ic.bounded:
+        raise UnboundedIC(f"{ic.model} values exceed [0, 1]; normalize the table first")
+
+    def proposed(a: SynsetId, b: SynsetId,
+                 members: tuple[SynsetId, ...] | None = None) -> float:
+        # mean over the DCS members d of IC(d)/(IC(a)+1) + IC(d)/(IC(b)+1)
+        if members is None:
+            members = dcs(t, a, b)
+        ia1 = ic[a] + 1.0
+        ib1 = ic[b] + 1.0
+        total = 0.0
+        for d in members:
+            total += ic[d] / ia1 + ic[d] / ib1
+        return total / len(members)
+    return proposed
+
+
+def _pair_kernel(t: Taxonomy, ic: ICTable, measure: SimMeasureId,
+                 lcs_mode: str) -> Callable[[SynsetId, SynsetId], float]:
+    """The measure as a function of one sense pair, with the checks of
+    :func:`_formula` done."""
+    formula = _formula(t, ic, measure, lcs_mode)
+    if measure is SimMeasureId.PROPOSED:
+        return formula
+
     subsumers = t.subsumers
     depth_longest, row = t.columns.depth_longest, t.row
     if lcs_mode == "max_ic":

@@ -280,6 +280,7 @@ class Taxonomy:
         # memos of pure functions: a fill stores the same value in every thread
         self._senses: dict[str, tuple[SynsetId, ...]] = {}
         self._subsumer_cache: dict[SynsetId, frozenset[SynsetId]] = {}
+        self._max_ic: dict[tuple, float] = {}  # ic's full kernel pass per (model, config)
         self.nodes: Mapping[SynsetId, Synset] = _View(ids, row, self._synset)
         self.stats: Mapping[SynsetId, NodeStats] = _View(ids, row, self._node_stats)
         self.word_index: Mapping[str, tuple[SynsetId, ...]] = _View(

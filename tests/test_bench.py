@@ -5,18 +5,18 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from semsim.bench import (FULL_GRID, BenchmarkDataset, evaluate, grid_report,
                           load_dataset, pearson)
-from semsim.errors import (AllPairsSkipped, EmptyDataset, LengthMismatch,
-                           MalformedLine, MalformedRow, MissingFile, NonFiniteScore,
-                           ZeroVariance)
-from semsim.ic import ICModelId, ic_table
+from semsim.errors import (AllPairsSkipped, DegenerateTable, EmptyDataset,
+                           LengthMismatch, MalformedLine, MalformedRow, MissingFile,
+                           NonFiniteScore, SemsimError, UnknownWord, ZeroVariance)
+from semsim.ic import ICConfig, ICModelId, ic_table
 from semsim.similarity import SimMeasureId, word_similarity
 from semsim.taxonomy import RawGraph, freeze
 
-from conftest import DATA
+from conftest import DATA, raw_dags, word_indexes
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -222,3 +222,91 @@ class TestGrid:
     def test_full_grid_covers_every_model(self):
         models = {m for m, _ in FULL_GRID}
         assert models == set(ICModelId)
+
+    def test_unknown_words_are_skipped_before_any_check(self):
+        # a known pair meets the table, measure and LCS checks; a dataset of
+        # unknown words fails for that alone, whatever those checks would say
+        t = freeze(RawGraph(parents={"only": []}, lemmas={"only": ("thing",)}))
+        table = ic_table(t, ICModelId.SECO)
+        assert table.max_ic == 0.0
+        unknown = toy_dataset([("ghost", "spirit", 1.0), ("thing", "ghost", 2.0)])
+        known = toy_dataset([("ghost", "spirit", 1.0), ("thing", "thing", 2.0)])
+        for ds, batet_error, bogus_error in ((unknown, AllPairsSkipped, AllPairsSkipped),
+                                             (known, DegenerateTable, ValueError)):
+            with pytest.raises(batet_error):
+                evaluate(t, ds, table, SimMeasureId.BATET)
+            with pytest.raises(batet_error):
+                grid_report(t, ds, [(ICModelId.SECO, SimMeasureId.BATET)])
+            with pytest.raises(bogus_error):
+                evaluate(t, ds, table, SimMeasureId.LIN, "bogus")
+            with pytest.raises(bogus_error):
+                grid_report(t, ds, [(ICModelId.SECO, SimMeasureId.LIN)], lcs_mode="bogus")
+
+
+def word_path_row(t, ds, table, measure, lcs_mode):
+    """A grid row as the per-pair word path scores it: each pair's
+    machine score (None when skipped), n_used and pearson_raw, by repr."""
+    machine, human, per_pair = [], [], []
+    for w1, w2, h in ds.pairs:
+        try:
+            score = word_similarity(t, table, measure, w1, w2, lcs_mode)
+        except UnknownWord:
+            per_pair.append(None)
+            continue
+        per_pair.append(repr(score))
+        machine.append(score)
+        human.append(h)
+    if not machine:
+        raise AllPairsSkipped("no scorable pairs")
+    return per_pair, len(machine), repr(pearson(machine, human))
+
+
+def failure(fn, *args):
+    """The type of the error a call raises, or None when it returns."""
+    try:
+        fn(*args)
+    except (SemsimError, ValueError) as exc:
+        return type(exc)
+    return None
+
+
+class TestGridMatchesWordPath:
+    @settings(max_examples=60, deadline=None)
+    @given(raw_dags(), st.data())
+    def test_rows_equal_the_word_path(self, drawn, data):
+        # the shared pair plan against word_similarity, the reference path
+        raw, depth_mode = drawn
+        index = data.draw(word_indexes(freeze(raw).nodes))
+        t = freeze(raw, depth_mode=depth_mode, word_index=index)
+        words = sorted(t.words) + ["unknown"]
+        assert not t.senses("unknown")
+        pairs = [(w1, w2) for w1 in words for w2 in words]
+        human = data.draw(st.lists(st.floats(0.0, 10.0), min_size=len(pairs),
+                                   max_size=len(pairs)))
+        ds = BenchmarkDataset("drawn", tuple((w1, w2, h) for (w1, w2), h in zip(pairs, human)),
+                              (0.0, 10.0))
+        cfg = data.draw(st.sampled_from([ICConfig(), ICConfig(normalize_unbounded=True)]))
+        tables = {m: ic_table(t, m, cfg) for m in ICModelId}
+        combos = [(m, s) for m in ICModelId for s in SimMeasureId
+                  if s is not SimMeasureId.PROPOSED or tables[m].bounded]
+        for mode in ("max_depth", "max_ic"):
+            expected, failing = {}, []
+            for m, s in combos:
+                if failure(word_path_row, t, ds, tables[m], s, mode) is None:
+                    expected[m, s] = word_path_row(t, ds, tables[m], s, mode)
+                else:
+                    failing.append((m, s))
+            for m, s in failing:
+                assert failure(grid_report, t, ds, [(m, s)], cfg, mode) is \
+                    failure(word_path_row, t, ds, tables[m], s, mode)
+            if not expected:
+                continue
+            report = grid_report(t, ds, list(expected), cfg, mode)
+            assert [(r.ic_model, r.measure) for r in report.results] == list(expected)
+            for r in report.results:
+                per_pair = [None if p.machine is None else repr(p.machine)
+                            for p in r.per_pair]
+                assert (per_pair, r.n_used, repr(r.pearson_raw)) == \
+                    expected[r.ic_model, r.measure]
+                assert [p.status == "ok" for p in r.per_pair] == \
+                    [v is not None for v in per_pair]

@@ -257,6 +257,17 @@ class TestGrid:
         assert (code, out) == (2, "")
         assert err.splitlines()[-1] == "semsim: error: grid: pass --full or --combos"
 
+    @pytest.mark.parametrize("combos", ["seco", "a:b:c", "seco:nosuch"])
+    def test_combo_that_is_not_ic_measure_exits_2_before_loading(self, capsys, tmp_path,
+                                                                  combos):
+        missing = str(tmp_path / "absent.tsv")  # loading it would exit 1
+        code, out, err = run(capsys, "--edgelist", missing, "grid", "--dataset", missing,
+                             "--combos", f"seco:lin,{combos}")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0].startswith("usage: semsim")
+        assert err.splitlines()[-1] == (
+            f"semsim: error: bad combo {combos!r}, expected ic:measure")
+
     def test_golden_pass_and_fail(self, capsys, tmp_path, toy_dataset):
         code, out, _ = run(capsys, *CHAIN, "grid", "--dataset", toy_dataset,
                            "--combos", "seco:lin")

@@ -15,6 +15,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semsim import ic
 from semsim.errors import UnboundedIC, UnknownSynset
 from semsim.ic import ICConfig, ICModelId, ic_table
 from semsim.similarity import SimMeasureId, word_similarity
@@ -226,6 +227,50 @@ class TestTableBuilding:
             assert isinstance(err.value, KeyError)
             assert str(err.value) == "unknown synset: 'missing'"
             assert len(table.values) == 0  # the failed read stored nothing
+
+    def test_full_pass_runs_once_per_taxonomy_model_and_config(self, monkeypatch):
+        # the maximum that normalize_unbounded and max_ic read is one kernel
+        # pass per (taxonomy, model, config), kept by the taxonomy
+        calls = []
+        factory = ic._KERNELS[SANCHEZ2011]
+
+        def counting(t, cfg):
+            kernel = factory(t, cfg)
+
+            def counted(r):
+                calls.append(r)
+                return kernel(r)
+            return counted
+        monkeypatch.setitem(ic._KERNELS, SANCHEZ2011, counting)
+        parents = {"r": [], "a": ["r"], "b": ["r"], "c": ["a"], "d": ["a", "b"], "e": ["b"]}
+        t = build(parents)
+        n = len(t)
+        normalize = ICConfig(normalize_unbounded=True)
+        first = ic_table(t, SANCHEZ2011, normalize)
+        assert len(calls) == n
+        second = ic_table(t, SANCHEZ2011, normalize)
+        assert (first.max_ic, second.max_ic) == (1.0, 1.0)
+        assert len(calls) == n
+        leaf_self = ic_table(t, SANCHEZ2011, replace(normalize, leaf_self=True))
+        leaf_self.max_ic
+        assert len(calls) == 2 * n
+        raw = [ic_table(t, SANCHEZ2011) for _ in range(2)]
+        assert raw[0].max_ic == raw[1].max_ic
+        assert len(calls) == 3 * n
+        ic_table(build(parents), SANCHEZ2011).max_ic  # another taxonomy, its own pass
+        assert len(calls) == 4 * n
+
+        def reference(cfg):
+            # every value and the maximum, from a kernel of no table
+            kernel = factory(t, cfg)
+            values = [kernel(t.row[c]) for c in t.nodes]
+            top = max(values)
+            if cfg.normalize_unbounded:
+                values = [v / top for v in values]
+            return [repr(v) for v in values], repr(max(values))
+        for table in (first, second, leaf_self, *raw):
+            got = [repr(table[c]) for c in t.nodes], repr(table.max_ic)
+            assert got == reference(table.config)
 
 
 configs = st.just(ICConfig()) | st.builds(

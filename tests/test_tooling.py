@@ -108,3 +108,33 @@ def test_only_taxonomy_knows_the_column_layout():
             elif isinstance(node, ast.Attribute) and node.attr in layout:
                 found.append(f"{path.name}:{node.lineno} {node.attr}")
     assert not found
+
+
+def test_package_keeps_no_module_level_cache():
+    # memos of pure functions live on the object whose function they memo
+    # (the taxonomy, a table), never in a module, where they would outlive
+    # it and be shared by every caller in the process
+    found = []
+    for path in sorted((REPO / "src" / "semsim").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Global):
+                found.append(f"{path.name}:{node.lineno} global")
+            elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                          if alias.name in ("cache", "lru_cache")]
+            elif (isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache")
+                  and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+                found.append(f"{path.name}:{node.lineno} functools.{node.attr}")
+        for node in tree.body:
+            value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+            if value is None:
+                continue
+            empty = (isinstance(value, ast.Dict) and not value.keys
+                     or isinstance(value, ast.List) and not value.elts
+                     or isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                     and value.func.id in ("dict", "set", "list")
+                     and not value.args and not value.keywords)
+            if empty:
+                found.append(f"{path.name}:{node.lineno} empty module-level container")
+    assert not found
