@@ -33,10 +33,11 @@ from __future__ import annotations
 import json
 import sys
 from array import array
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from itertools import accumulate, chain
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import CycleDetected, EmptyGraph, PinnedRootHasParents, UnknownSynset
 
@@ -99,11 +100,12 @@ class TaxonomyConstants:
 class RawGraph:
     """Unfrozen node/edge collection accepted by :func:`freeze`.
 
-    ``parents`` maps every node id to its direct parent ids (empty for
-    roots).  Every referenced parent must itself be a key.
+    ``parents`` maps every node id to a sequence of its direct parent ids
+    (empty for roots; a parent listed twice counts once).  Every
+    referenced parent must itself be a key.
     """
 
-    parents: dict[SynsetId, list[SynsetId]]
+    parents: dict[SynsetId, Sequence[SynsetId]]
     lemmas: dict[SynsetId, tuple[str, ...]] = field(default_factory=dict)
     pinned_root: SynsetId | None = None
 
@@ -359,6 +361,23 @@ def _offsets(lists) -> array:
     return array("l", accumulate(map(len, lists), initial=0))
 
 
+def _descendant_sums(ancestors: list[tuple[int, ...]], key: list[int],
+                     rows: Iterable[int]) -> tuple[list[int], array]:
+    """For every row, how many of ``rows`` descend from it and the sum of
+    ``1 / key[d]`` over those descendants ``d``.  Each key's group of rows
+    has its ancestors counted at once, and the sums add their terms in
+    ascending key order, so they depend on neither set nor row order."""
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for r in rows:
+        groups.setdefault(key[r], []).append(ancestors[r])
+    counts, sums = [0] * len(ancestors), [0.0] * len(ancestors)
+    for k in sorted(groups):
+        for a, c in Counter(chain.from_iterable(groups[k])).items():
+            counts[a] += c
+            sums[a] += c / k
+    return counts, array("d", sums)
+
+
 def freeze(raw: RawGraph, depth_mode: str = "min",
            word_index: Mapping[str, Iterable[SynsetId]] | None = None) -> Taxonomy:
     """Validate a raw graph and build the immutable taxonomy.
@@ -367,14 +386,12 @@ def freeze(raw: RawGraph, depth_mode: str = "min",
     under ``raw.pinned_root`` when set) so that every node reaches a single
     root and the root's IC is zero under every model.  Without a
     ``word_index``, each lemma (lowercased) indexes the nodes that carry
-    it, in id order.
+    it, in id order.  A parent listed twice counts once.
 
     After the root is settled every node is a row.  One pass over the rows
     in topological order builds each node's strict ancestors from its
-    parents' and walks them once, so every statistic, the descendant
-    counts included, comes from that single closure.  The two reciprocal
-    sums are bucketed per node by depth or subsumer count and summed in
-    ascending bucket order, which makes them independent of set order.
+    parents', and every statistic, the descendant counts included, comes
+    from that single closure (see :func:`_descendant_sums`).
 
     Raises ``EmptyGraph`` for zero nodes, ``CycleDetected`` (with one
     offending cycle) when the hypernym edges are not acyclic and
@@ -386,15 +403,14 @@ def freeze(raw: RawGraph, depth_mode: str = "min",
     if not raw.parents:
         raise EmptyGraph("taxonomy has no nodes")
 
-    parents = {node: list(ps) for node, ps in raw.parents.items()}
-    for node, ps in parents.items():
-        for p in ps:
-            if p not in parents:
-                raise UnknownSynset(p)
+    parents = dict(raw.parents)  # only the re-parented orphans' entries are replaced
+    for p in chain.from_iterable(parents.values()):
+        if p not in parents:
+            raise UnknownSynset(p)
 
     pinned = raw.pinned_root
     if pinned is not None and pinned not in parents:
-        parents[pinned] = []
+        parents[pinned] = ()
     # with no parentless node at all, the Kahn pass below names a cycle
     orphans = [n for n, ps in parents.items() if not ps]
     if pinned is not None:
@@ -402,20 +418,20 @@ def freeze(raw: RawGraph, depth_mode: str = "min",
             raise PinnedRootHasParents(f"pinned root {pinned!r} has parents")
         for n in orphans:
             if n != pinned:
-                parents[n] = [pinned]
+                parents[n] = (pinned,)
     elif len(orphans) > 1:
-        parents[SYNTHETIC_ROOT] = []
+        parents[SYNTHETIC_ROOT] = ()
         for n in orphans:
-            parents[n] = [SYNTHETIC_ROOT]
+            parents[n] = (SYNTHETIC_ROOT,)
 
     ids = tuple(parents)
     n = len(ids)
     row = dict(zip(ids, range(n)))
-    parent_lists = [[row[p] for p in sorted(parents[node])] for node in ids]
+    parent_lists = [tuple([row[p] for p in (sorted({*ps}) if len(ps) > 1 else ps)])
+                    for ps in parents.values()]
     n_children = [0] * n
-    for ps in parent_lists:
-        for p in ps:
-            n_children[p] += 1
+    for p in chain.from_iterable(parent_lists):
+        n_children[p] += 1
 
     # Kahn order, children first; a node left out sits on or above a cycle
     pending = n_children[:]
@@ -443,49 +459,30 @@ def freeze(raw: RawGraph, depth_mode: str = "min",
         raise CycleDetected([ids[c] for c in reversed(loop)])
     order.reverse()  # parents first
 
-    # The one closure pass: a node's depths and strict ancestors come from
-    # its parents', and walking the ancestors counts it as their descendant
-    depth_min = [0] * n
-    depth_longest = [0] * n
-    depth = depth_longest if depth_mode == "max" else depth_min
+    # The one closure pass: a node's depths and strict ancestors come from its parents'
+    depth_min, depth_longest = [0] * n, [0] * n
     ancestors: list[tuple[int, ...]] = [()] * n
     subsumer_count = [0] * n
-    hypo_count = [0] * n
-    leaf_count = [0] * n
-    # a leaf is nobody's ancestor, so all leaves share one empty histogram
-    empty: dict[int, int] = {}
-    by_depth = [{} if k else empty for k in n_children]
-    by_subs = [{} if k else empty for k in n_children]
     for r in order:
         ps = parent_lists[r]
         if ps:  # all but the root
             depth_min[r] = min([depth_min[p] for p in ps]) + 1
             depth_longest[r] = max([depth_longest[p] for p in ps]) + 1
-        acc = set(ps)
-        for p in ps:
-            acc.update(ancestors[p])
-        ancestors[r] = acc = tuple(acc)
-        sc = subsumer_count[r] = len(acc) + 1
-        d = depth[r]
-        leaf = not n_children[r]
-        for a in acc:
-            hypo_count[a] += 1
-            hist = by_depth[a]
-            hist[d] = hist.get(d, 0) + 1
-            if leaf:
-                leaf_count[a] += 1
-                hist = by_subs[a]
-                hist[sc] = hist.get(sc, 0) + 1
+        ancestors[r] = acc = tuple(set(ps).union(*[ancestors[p] for p in ps]))
+        subsumer_count[r] = len(acc) + 1
+    depth = depth_longest if depth_mode == "max" else depth_min
+    hypo_count, inv_depth_sum = _descendant_sums(ancestors, depth, range(n))
+    leaf_count, leaf_commonness = _descendant_sums(
+        ancestors, subsumer_count, [r for r in range(n) if not n_children[r]])
 
     lemma_lists = [tuple(raw.lemmas.get(node, (node,))) for node in ids]
     if word_index is None:
-        built: dict[str, list[SynsetId]] = {}
+        word_index = {}
         for node in sorted(ids):
             for lemma in lemma_lists[row[node]]:
-                built.setdefault(lemma.lower(), []).append(node)
-        word_index = built
+                word_index.setdefault(lemma.lower(), []).append(node)
     try:
-        sense_lists = [[row[s] for s in senses] for senses in word_index.values()]
+        sense_lists = [tuple([row[s] for s in senses]) for senses in word_index.values()]
     except KeyError as exc:
         raise UnknownSynset(exc.args[0]) from None
 
@@ -501,8 +498,8 @@ def freeze(raw: RawGraph, depth_mode: str = "min",
         leaf_count=array("l", leaf_count),
         subsumer_count=array("l", subsumer_count),
         nmih=array("l", map(len, parent_lists)),
-        inv_depth_sum=array("d", [sum(c / k for k, c in sorted(h.items())) for h in by_depth]),
-        leaf_commonness=array("d", [sum(c / k for k, c in sorted(h.items())) for h in by_subs]),
+        inv_depth_sum=inv_depth_sum,
+        leaf_commonness=leaf_commonness,
     )
     return Taxonomy(ids, row, tuple(chain.from_iterable(lemma_lists)), tuple(word_index),
                     columns)

@@ -18,7 +18,7 @@ from .taxonomy import RawGraph, SynsetId
 log = logging.getLogger(__name__)
 
 HYPERNYM_SYMBOLS = ("@", "@i")
-HYPONYM_SYMBOLS = ("~", "~i")
+LINK_SYMBOLS = HYPERNYM_SYMBOLS + ("~", "~i")  # hypernyms and hyponyms
 
 WORDNET_DIR_ENV = "SEMSIM_WORDNET_DIR"
 
@@ -35,7 +35,9 @@ def parse_wordnet(dir_path) -> tuple[RawGraph, dict[str, tuple[SynsetId, ...]]]:
     which guards against truncated or re-encoded copies of the database,
     and its pointers must end where its pointer count says, at the ``|``
     that opens the gloss.
-    A line of either file that is not UTF-8 raises ``MalformedLine``.
+    A line of either file that is not UTF-8, and an ``index.noun`` lemma
+    on a second line, raise ``MalformedLine``.  Parents come as tuples in
+    pointer order; ``freeze`` drops a parent listed twice.
     """
     data_path = os.path.join(dir_path, "data.noun")
     index_path = os.path.join(dir_path, "index.noun")
@@ -43,22 +45,30 @@ def parse_wordnet(dir_path) -> tuple[RawGraph, dict[str, tuple[SynsetId, ...]]]:
         if not os.path.isfile(p):
             raise MissingFile(f"required WordNet file not found: {p}")
 
-    parents, lemmas, links = _parse_data_noun(data_path)
-    hypernym_links = {link for link in links if link[1] in HYPERNYM_SYMBOLS}
+    ids, lemmas, links = _parse_data_noun(data_path)
+    parents: dict[SynsetId, tuple[SynsetId, ...]] = {}
     asymmetries = 0
-    for offset, symbol, target in links:
-        if synset_id(target) not in parents:
-            raise DanglingPointer(synset_id(offset), symbol, target)
-        if symbol in HYPONYM_SYMBOLS:
+    for offset, sid in ids.items():
+        ps = []
+        pairs = iter(links[offset])
+        for symbol, target in zip(pairs, pairs):
+            target_id = ids.get(target)
+            if target_id is None:
+                raise DanglingPointer(sid, symbol, target)
+            if symbol in HYPERNYM_SYMBOLS:
+                ps.append(target_id)
+                continue
             reverse = "@" if symbol == "~" else "@i"
-            if (target, reverse, offset) not in hypernym_links:
+            back = iter(links[target])
+            if (reverse, offset) not in zip(back, back):
                 asymmetries += 1
                 log.warning("hyponym pointer %s %s -> %s lacks a reverse %s",
                             symbol, offset, target, reverse)
+        parents[sid] = tuple(ps)
     if asymmetries:
         log.warning("%d asymmetric hyponym pointers in %s", asymmetries, data_path)
 
-    return RawGraph(parents=parents, lemmas=lemmas), _parse_index_noun(index_path, parents)
+    return RawGraph(parents=parents, lemmas=lemmas), _parse_index_noun(index_path, ids)
 
 
 def utf8_lines(path):
@@ -79,12 +89,12 @@ def _decode(path, line_no: int, raw_line: bytes, byte_offset: int | None = None)
 
 
 def _parse_data_noun(path):
-    """Each synset's parents and lemmas, keyed by id in file order, and its
-    noun hypernym and hyponym pointers as ``(offset, symbol, target_offset)``
-    links in file order."""
-    parents: dict[SynsetId, list[SynsetId]] = {}
+    """In file order: each synset's id by offset, its lemmas by id, and its
+    noun hypernym and hyponym pointers by offset, as one flat
+    ``(symbol, target_offset, ...)`` tuple."""
+    ids: dict[str, SynsetId] = {}
     lemmas: dict[SynsetId, tuple[str, ...]] = {}
-    links: list[tuple[str, str, str]] = []
+    links: dict[str, tuple[str, ...]] = {}
     byte_pos = 0
     with open(path, "rb") as fh:
         for line_no, raw_line in enumerate(fh, start=1):
@@ -103,40 +113,32 @@ def _parse_data_noun(path):
                 if int(offset) != line_start:
                     raise ValueError(
                         f"offset {offset} does not match line byte position {line_start}")
-                w_cnt = int(fields[3], 16)
-                pos = 4
-                words = []
-                for _ in range(w_cnt):
-                    words.append(fields[pos])
-                    pos += 2  # skip lex_id
+                pos = 4 + 2 * int(fields[3], 16)  # a word and its lex_id per word
+                words = fields[4:pos:2]
                 p_cnt = int(fields[pos])
                 pos += 1
-                ps = []
+                pointers = []
                 for _ in range(p_cnt):
                     symbol, target, target_pos, _src_tgt = fields[pos:pos + 4]
                     pos += 4
-                    if target_pos != "n":
-                        continue
-                    if symbol in HYPERNYM_SYMBOLS:
-                        ps.append(synset_id(target))
-                    elif symbol not in HYPONYM_SYMBOLS:
-                        continue  # meronyms and the other relations
-                    links.append((offset, symbol, target))
+                    # meronyms, the other relations and other parts of speech
+                    if target_pos == "n" and symbol in LINK_SYMBOLS:
+                        pointers += symbol, target
                 if fields[pos:pos + 1] != ["|"]:
                     raise ValueError(f"no '|' gloss field after {p_cnt} pointers")
             except (IndexError, ValueError) as exc:
                 raise MalformedLine(path, line_no, str(exc), byte_offset=line_start) from None
-            sid = synset_id(offset)
-            parents[sid] = ps
+            ids[offset] = sid = synset_id(offset)
             lemmas[sid] = tuple(words)
-    if not parents:
+            links[offset] = tuple(pointers)
+    if not ids:
         raise MalformedLine(path, 0, "no synset lines found")
-    return parents, lemmas, links
+    return ids, lemmas, links
 
 
-def _parse_index_noun(path, synsets) -> dict[str, tuple[SynsetId, ...]]:
-    """The word index: each lemma's senses in file order; a sense that is
-    not in ``synsets`` raises ``DanglingPointer``."""
+def _parse_index_noun(path, ids) -> dict[str, tuple[SynsetId, ...]]:
+    """The word index: each lemma's senses in file order, as the ids that
+    ``ids`` maps their offsets to; an offset it lacks raises ``DanglingPointer``."""
     word_index: dict[str, tuple[SynsetId, ...]] = {}
     for line_no, line in utf8_lines(path):
         if line.startswith("  "):
@@ -152,13 +154,14 @@ def _parse_index_noun(path, synsets) -> dict[str, tuple[SynsetId, ...]]:
             if len(offsets) != synset_cnt:
                 raise ValueError(
                     f"expected {synset_cnt} sense offsets, found {len(offsets)}")
+            if lemma in word_index:
+                raise ValueError(f"lemma {lemma!r} is on an earlier line too")
         except (IndexError, ValueError) as exc:
             raise MalformedLine(path, line_no, str(exc)) from None
-        senses = tuple(synset_id(o) for o in offsets)
-        for o, sid in zip(offsets, senses):
-            if sid not in synsets:
-                raise DanglingPointer(lemma, "index", o)
-        word_index[lemma] = senses
+        try:
+            word_index[lemma] = tuple(map(ids.__getitem__, offsets))
+        except KeyError as exc:
+            raise DanglingPointer(lemma, "index", exc.args[0]) from None
     return word_index
 
 

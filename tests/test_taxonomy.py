@@ -50,6 +50,15 @@ class TestFreeze:
         t = freeze(raw)
         assert t.root == "a"
         assert t.nodes["b"].parents == ("a",)
+        assert raw.parents == {"a": [], "b": [], "c": ["a"]}  # the input is left as it was
+
+    @pytest.mark.parametrize("parents", [["r", "r"], ("r", "r"), ("r", "q", "r")])
+    def test_a_parent_listed_twice_counts_once(self, parents):
+        t = freeze(RawGraph(parents={"r": [], "q": ["r"], "a": parents}))
+        once = freeze(RawGraph(parents={"r": [], "q": ["r"], "a": sorted(set(parents))}))
+        assert t.nodes["a"].parents == once.nodes["a"].parents
+        assert t.stats["a"].nmih == len(set(parents)) < t.stats["a"].subsumer_count
+        assert t.columns == once.columns
 
     def test_pinned_root_with_parents_rejected(self):
         raw = RawGraph(parents={"a": [], "b": ["a"]}, pinned_root="b")

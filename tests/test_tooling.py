@@ -138,3 +138,24 @@ def test_package_keeps_no_module_level_cache():
             if empty:
                 found.append(f"{path.name}:{node.lineno} empty module-level container")
     assert not found
+
+
+def test_package_leaves_the_collector_alone():
+    # the cyclic collector is process-wide state: a library that switched it
+    # off, froze the heap or retuned its thresholds would do so for its
+    # caller and every other thread too
+    switches = {"disable", "freeze", "set_threshold"}
+    found = []
+    for path in sorted((REPO / "src" / "semsim").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        gc_names = {alias.asname or "gc" for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names
+                    if alias.name == "gc"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "gc":
+                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                          if alias.name in switches | {"*"}]
+            elif (isinstance(node, ast.Attribute) and node.attr in switches
+                  and isinstance(node.value, ast.Name) and node.value.id in gc_names):
+                found.append(f"{path.name}:{node.lineno} gc.{node.attr}")
+    assert not found

@@ -1,12 +1,15 @@
 """Parser tests over crafted miniature database files plus the real DB."""
 
 import logging
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semsim.errors import (DanglingPointer, EmptyGraph, MalformedLine, MissingFile,
-                           UnknownSynset)
-from semsim.taxonomy import freeze
+                           SemsimError, UnknownSynset)
+from semsim.taxonomy import RawGraph, freeze
 from semsim.wordnet import parse_edgelist, parse_wordnet, serialize_edgelist, synset_id
 
 from conftest import HEADER, children_of, write_wordnet
@@ -23,8 +26,8 @@ class TestDataNoun:
     def test_hypernym_pointer_becomes_edge(self, tmp_path):
         offsets = write_wordnet(tmp_path, CHAIN)
         raw, _ = parse_wordnet(tmp_path)
-        assert raw.parents[synset_id(offsets[1])] == [synset_id(offsets[0])]
-        assert raw.parents[synset_id(offsets[0])] == []
+        assert raw.parents[synset_id(offsets[1])] == (synset_id(offsets[0]),)
+        assert raw.parents[synset_id(offsets[0])] == ()
         t = freeze(raw)
         assert t.root == synset_id(offsets[0])
         assert t.depth(synset_id(offsets[2])) == 2
@@ -37,7 +40,7 @@ class TestDataNoun:
         offsets = write_wordnet(tmp_path, synsets)
         raw, _ = parse_wordnet(tmp_path)
         mountain, everest = synset_id(offsets[0]), synset_id(offsets[1])
-        assert raw.parents == {mountain: [], everest: [mountain]}
+        assert raw.parents == {mountain: (), everest: (mountain,)}
         t = freeze(raw)
         assert t.nodes[everest].parents == (mountain,)
         assert children_of(t)[mountain] == (everest,)
@@ -49,7 +52,7 @@ class TestDataNoun:
         ]
         offsets = write_wordnet(tmp_path, synsets)
         raw, _ = parse_wordnet(tmp_path)
-        assert raw.parents[synset_id(offsets[1])] == [synset_id(offsets[0])]
+        assert raw.parents[synset_id(offsets[1])] == (synset_id(offsets[0]),)
 
     def test_missing_index_noun(self, tmp_path):
         write_wordnet(tmp_path, CHAIN)
@@ -146,7 +149,29 @@ class TestDataNoun:
             text = text.replace(f" {sym} {offsets[0]} {pos} ", f" {sym} 99999999 {pos} ")
         (tmp_path / "data.noun").write_text(text)
         raw, _ = parse_wordnet(tmp_path)
-        assert raw.parents[synset_id(offsets[1])] == [synset_id(offsets[0])]
+        assert raw.parents[synset_id(offsets[1])] == (synset_id(offsets[0]),)
+
+    def test_a_parent_pointed_at_twice_counts_once(self, tmp_path):
+        taxonomies = []
+        for name, ups in (("once", [("@", 1, "n")]), ("twice", [("@", 1, "n")] * 2)):
+            (tmp_path / name).mkdir()
+            offsets = write_wordnet(tmp_path / name, CHAIN[:2] + [(["cell_phone"], ups)])
+            raw, index = parse_wordnet(tmp_path / name)
+            taxonomies.append(freeze(raw, word_index=index))
+        once, twice = taxonomies
+        phone = synset_id(offsets[2])
+        assert twice.stats[phone].nmih == 1
+        assert twice.nodes[phone].parents == (synset_id(offsets[1]),)
+        assert twice.columns == once.columns
+        assert raw.parents[phone] == (synset_id(offsets[1]),) * 2
+
+    def test_a_lemma_on_two_index_lines(self, tmp_path):
+        write_wordnet(tmp_path, CHAIN,
+                      index_rows=[("car", [1]), ("entity", [0]), ("car", [2])])
+        with pytest.raises(MalformedLine) as err:
+            parse_wordnet(tmp_path)
+        assert err.value.line_no == 5  # the second "car" line, after the 2-line header
+        assert "'car'" in str(err.value)
 
     def test_index_sense_count_mismatch(self, tmp_path):
         offsets = write_wordnet(tmp_path, CHAIN)
@@ -175,6 +200,89 @@ class TestDataNoun:
             parse_wordnet(tmp_path)
         assert err.value.line_no == 4 and err.value.byte_offset is None
         assert str(err.value).startswith(f"{tmp_path / 'index.noun'}:4: not UTF-8")
+
+
+# non-numeric, so that a word count off by one makes the pointer count unreadable
+LEMMAS = ("bank", "car", "caf\u00e9", "x_ray")
+OTHER_POINTERS = (("%p", "n"), ("#m", "n"), ("+", "v"), ("@", "v"), ("~", "a"))
+
+
+@st.composite
+def wordnet_databases(draw):
+    """A random noun database as ``write_wordnet`` takes it, plus what the
+    reader must give back, by line: ``(synsets, index_rows, parents,
+    lemmas, index)``.  Node k of a random DAG (parents before children,
+    some nodes with several parents or none) sits on a drawn line, so
+    pointers run both ways in the file.  Each hypernym pointer (``@`` or
+    ``@i``) has its hyponym pointer back (``~`` or ``~i``), meronym and
+    other-POS pointers ride along, and pointers come in drawn order."""
+    n = draw(st.integers(1, 10))
+    line = draw(st.permutations(range(n)))
+    words = [draw(st.lists(st.sampled_from(LEMMAS), min_size=1, max_size=3, unique=True))
+             for _ in range(n)]
+    pointers = [[] for _ in range(n)]
+    for k in range(1, n):
+        for p in draw(st.lists(st.integers(0, k - 1), max_size=3, unique=True)):
+            up = draw(st.sampled_from(("@", "@i")))
+            pointers[k].append((up, p, "n"))
+            pointers[p].append(("~" + up[1:], k, "n"))
+    for k in range(n):
+        for sym, pos in draw(st.lists(st.sampled_from(OTHER_POINTERS), max_size=2)):
+            pointers[k].append((sym, draw(st.integers(0, n - 1)), pos))
+    synsets, parents = [None] * n, [None] * n
+    for k in range(n):
+        ps = [(sym, line[t], pos) for sym, t, pos in draw(st.permutations(pointers[k]))]
+        synsets[line[k]] = (words[k], ps)
+        parents[line[k]] = [t for sym, t, pos in ps if sym in ("@", "@i") and pos == "n"]
+    index = {}
+    for w in draw(st.permutations(sorted({w for ws in words for w in ws}))):
+        index[w] = draw(st.permutations([line[k] for k in range(n) if w in words[k]]))
+    return synsets, list(index.items()), parents, [ws for ws, _ in synsets], index
+
+
+class TestReaderRoundTrip:
+    @settings(max_examples=80, deadline=None)
+    @given(wordnet_databases())
+    def test_reader_gives_back_the_drawn_graph(self, db):
+        synsets, index_rows, parents, lemmas, index = db
+        with tempfile.TemporaryDirectory() as tmp:
+            ids = [synset_id(o) for o in write_wordnet(Path(tmp), synsets, index_rows)]
+            raw, word_index = parse_wordnet(tmp)
+        drawn = RawGraph(parents={ids[i]: [ids[p] for p in ps] for i, ps in enumerate(parents)},
+                         lemmas={ids[i]: tuple(ws) for i, ws in enumerate(lemmas)})
+        drawn_index = {w: tuple(ids[i] for i in senses) for w, senses in index.items()}
+        assert {k: list(v) for k, v in raw.parents.items()} == drawn.parents
+        assert (raw.lemmas, word_index) == (drawn.lemmas, drawn_index)
+        for mode in ("min", "max"):
+            got = freeze(raw, depth_mode=mode, word_index=word_index)
+            want = freeze(drawn, depth_mode=mode, word_index=drawn_index)
+            assert (got.ids, got.columns, got.lemmas, got.words) == \
+                   (want.ids, want.columns, want.lemmas, want.words)
+
+    @settings(max_examples=80, deadline=None)
+    @given(wordnet_databases(), st.data())
+    def test_a_damaged_line_raises_a_semsim_error(self, db, data):
+        synsets, index_rows = db[:2]
+        with tempfile.TemporaryDirectory() as tmp:
+            write_wordnet(Path(tmp), synsets, index_rows)
+            path = Path(tmp) / "data.noun"
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            j = HEADER.count("\n") + data.draw(st.integers(0, len(synsets) - 1))
+            fields = lines[j].rstrip("\n").split(" ")
+            p_at = 4 + 2 * int(fields[3], 16)
+            damage = data.draw(st.sampled_from(("cut", "word count", "pointer count")))
+            if damage == "cut":  # anywhere before the gloss's "|"
+                lines[j] = lines[j][:data.draw(st.integers(1, lines[j].index(" |")))] + "\n"
+            elif damage == "word count":
+                fields[3] = f"{int(fields[3], 16) + data.draw(st.sampled_from((-1, 1))):02x}"
+            else:
+                p_cnt = data.draw(st.integers(0, 999).filter(lambda c: c != int(fields[p_at])))
+                fields[p_at] = f"{p_cnt:03d}"
+            if damage != "cut":
+                lines[j] = " ".join(fields) + "\n"
+            path.write_text("".join(lines), encoding="utf-8")
+            with pytest.raises(SemsimError):
+                parse_wordnet(tmp)
 
 
 class TestSenses:
