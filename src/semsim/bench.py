@@ -1,9 +1,10 @@
 """Benchmark loading, Pearson correlation and evaluation grids.
 
-Machine scores are those of :func:`semsim.similarity.word_similarity`, the
-per-pair path, computed over one pair plan per dataset that every table
-and measure shares; pairs whose words have no noun sense are marked
-skipped and excluded from the correlation (they are never zero-filled).
+Machine scores are those of :func:`semsim.similarity.word_similarity`:
+one pair plan per dataset lists its sense pairs once, and every table and
+measure scores that list, both through the word path's own functions.
+Pairs whose words have no noun sense are marked skipped and excluded from
+the correlation (they are never zero-filled).
 Reported correlations are rounded to two decimals, with the raw value
 kept alongside.
 """
@@ -18,7 +19,7 @@ from pathlib import Path
 from .errors import (AllPairsSkipped, EmptyDataset, LengthMismatch, MalformedRow,
                      MissingFile, NonFiniteScore, ZeroVariance)
 from .ic import ICConfig, ICModelId, ICTable, ic_table
-from .similarity import SimMeasureId, _formula, dcs
+from .similarity import SimMeasureId, _scorer, _sense_pairs
 from .taxonomy import Taxonomy
 from .wordnet import utf8_lines
 
@@ -147,49 +148,28 @@ def pearson(xs, ys) -> float:
 
 
 class _PairPlan:
-    """The taxonomy-only work of scoring a dataset, shared by every combo.
-
-    ``spans`` holds, per dataset pair, the range of its sense pairs in
-    ``word_similarity_detail``'s order, or ``None`` when a word has no noun
-    sense.  Sense pair i is ``(a[i], b[i])``, ``common[i]`` its common
-    subsumers and ``deepest[i]`` its ``max_depth`` LCS candidates, both in
-    the set's iteration order, so every max sees the pair kernel's order.
-    The DCS is computed on first use, by the proposed measure.
-    """
+    """The taxonomy-only work of scoring a dataset, shared by every combo:
+    ``pairs`` lists each dataset pair's sense pairs as ``_sense_pairs``
+    lists them, ``spans`` holds per dataset pair the range of its own, or
+    ``None`` when a word has no noun sense, and ``dcs`` keeps their DCS
+    rows once the proposed measure has computed them."""
 
     def __init__(self, t: Taxonomy, dataset: BenchmarkDataset):
-        self.t, self.dataset, self._dcs = t, dataset, None
-        self.spans, self.a, self.b, self.common, self.deepest = [], [], [], [], []
-        subsumers, depth_longest, row = t.subsumers, t.columns.depth_longest, t.row
+        self.t, self.dataset = t, dataset
+        self.spans, self.pairs, self.dcs = [], [], []
         for w1, w2, _ in dataset.pairs:
-            senses1, senses2 = t.senses(w1), t.senses(w2)
-            if not (senses1 and senses2):
+            rows1, rows2 = t.sense_rows(w1), t.sense_rows(w2)
+            if not (rows1 and rows2):
                 self.spans.append(None)
                 continue
-            self.spans.append((len(self.a), len(self.a) + len(senses1) * len(senses2)))
-            for a in senses1:
-                for b in senses2:
-                    cs = subsumers(a) & subsumers(b)
-                    deepest = max(depth_longest[row[c]] for c in cs)
-                    self.a.append(a)
-                    self.b.append(b)
-                    self.common.append(cs)
-                    self.deepest.append([c for c in cs if depth_longest[row[c]] == deepest])
+            self.spans.append((len(self.pairs), len(self.pairs) + len(rows1) * len(rows2)))
+            self.pairs += _sense_pairs(t, rows1, rows2)
 
     def score(self, table: ICTable, measure: SimMeasureId, lcs_mode: str) -> EvalResult:
         dataset = self.dataset
         if not any(self.spans):
             raise AllPairsSkipped(f"no scorable pairs in {dataset.name}")
-        formula = _formula(self.t, table, measure, lcs_mode)
-        if measure is SimMeasureId.PROPOSED:
-            if self._dcs is None:
-                self._dcs = [dcs(self.t, a, b) for a, b in zip(self.a, self.b)]
-            values = list(map(formula, self.a, self.b, self._dcs))
-        else:
-            ic = table.__getitem__
-            lcs_sets = self.deepest if lcs_mode == "max_depth" else self.common
-            values = list(map(formula, map(ic, self.a), map(ic, self.b),
-                              [max(map(ic, cs)) for cs in lcs_sets]))
+        values = _scorer(self.t, table, measure, lcs_mode)(self.pairs, self.dcs)
         per_pair: list[PairScore] = []
         machine: list[float] = []
         human: list[float] = []

@@ -109,3 +109,7 @@ class DegenerateTable(SemsimError):
 
 class UnboundedIC(SemsimError):
     """Raised when a measure requires IC values in [0, 1] but the table is unbounded."""
+
+
+class BatetUndefined(SemsimError, ValueError):
+    """Raised when batet's logarithm has no value for a sense pair."""

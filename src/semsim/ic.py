@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from enum import Enum
 from math import isfinite, log
 from types import MappingProxyType
-from typing import Any, Callable, Mapping
+from typing import Callable, Mapping
 
-from .errors import UnboundedIC, UnknownSynset
+from .errors import UnboundedIC
 from .taxonomy import SynsetId, Taxonomy
 
 
@@ -76,48 +76,55 @@ class ICConfig:
             raise ValueError(f"log base must be finite and exceed 1, got {base}")
 
 
+Kernel = Callable[[int], float]
+
+
+class _Memo(dict):
+    """Row -> IC: a missing row's value is computed by ``kernel`` and kept."""
+
+    def __init__(self, kernel: Kernel):
+        self.kernel = kernel
+
+    def __missing__(self, r: int) -> float:
+        value = self[r] = self.kernel(r)
+        return value
+
+
 class ICTable:
     """IC values of one model, each computed on its first read and then kept.
 
-    ``rows`` maps every synset id to what ``kernel`` reads: the taxonomy's
-    row (``Taxonomy.row``) for a table from :func:`ic_table`, or the values
-    themselves with ``float`` as the kernel for a table of explicit values.
-    A read of an id not yet computed runs the kernel on that one node and
-    stores the result; a later read is one dict lookup.  An unknown id
-    raises ``UnknownSynset`` and stores nothing.  Two threads that fill the
-    same node store the same float, so the table is safe to share.
+    ``by_row`` is the memo the measures read: indexing it with a row of
+    ``taxonomy`` runs ``kernel`` on that row the first time and is one dict
+    lookup after.  ``table[id]`` reads it through ``Taxonomy.row``; an
+    unknown id raises ``UnknownSynset`` and stores nothing.  Two threads
+    that fill the same row store the same float, so the table is safe to
+    share.  A table of explicit values is a kernel that looks them up.
 
-    ``values`` is a read-only view of the values computed so far, in the
-    order they were first read.  ``max_ic`` is ``full_max()``, by default
-    one kernel pass over every row, which stores no value; of the measures
-    only batet reads it.  :func:`ic_table` passes the taxonomy's memo.
+    ``values`` maps the id of every value computed so far to the value, in
+    the order the values were first read; each access builds it anew.
+    ``max_ic`` is ``full_max()``, by default one kernel pass over every
+    row, which stores no value; of the measures only batet reads it.
+    :func:`ic_table` passes the taxonomy's memo.
     """
 
-    def __init__(self, model: ICModelId, rows: Mapping[SynsetId, Any],
-                 kernel: Callable[[Any], float], normalized: bool = False,
-                 config: ICConfig = ICConfig(), *,
+    def __init__(self, model: ICModelId, taxonomy: Taxonomy, kernel: Kernel,
+                 normalized: bool = False, config: ICConfig = ICConfig(), *,
                  full_max: Callable[[], float] | None = None):
         self.model = model
         self.normalized = normalized
         self.config = config
-        self._rows = rows
-        self._kernel = kernel
-        self._values: dict[SynsetId, float] = {}
-        self.values: Mapping[SynsetId, float] = MappingProxyType(self._values)
-        self._full_max = full_max or (lambda: max(map(kernel, rows.values())))
+        self.by_row = _Memo(kernel)
+        self._taxonomy = taxonomy
+        self._full_max = full_max or (lambda: max(map(kernel, range(len(taxonomy)))))
         self._max_ic: float | None = None
 
     def __getitem__(self, synset_id: SynsetId) -> float:
-        try:
-            return self._values[synset_id]
-        except KeyError:
-            pass
-        try:
-            r = self._rows[synset_id]
-        except KeyError:
-            raise UnknownSynset(synset_id) from None
-        value = self._values[synset_id] = self._kernel(r)
-        return value
+        return self.by_row[self._taxonomy._row_of(synset_id)]
+
+    @property
+    def values(self) -> Mapping[SynsetId, float]:
+        ids = self._taxonomy.ids
+        return MappingProxyType({ids[r]: v for r, v in self.by_row.copy().items()})
 
     @property
     def max_ic(self) -> float:
@@ -128,9 +135,6 @@ class ICTable:
     @property
     def bounded(self) -> bool:
         return self.model in BOUNDED_MODELS or self.normalized
-
-
-Kernel = Callable[[int], float]
 
 
 def _zero(r: int) -> float:
@@ -313,6 +317,6 @@ def ic_table(t: Taxonomy, model: ICModelId, cfg: ICConfig = ICConfig()) -> ICTab
     normalized = cfg.normalize_unbounded and model not in BOUNDED_MODELS
     top = raw_max() if normalized else 0.0
     if top > 0.0:  # the largest value is then top / top
-        return ICTable(model, t.row, lambda r: kernel(r) / top, True, cfg,
+        return ICTable(model, t, lambda r: kernel(r) / top, True, cfg,
                        full_max=lambda: top / top)
-    return ICTable(model, t.row, kernel, normalized, cfg, full_max=raw_max)
+    return ICTable(model, t, kernel, normalized, cfg, full_max=raw_max)

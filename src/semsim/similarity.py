@@ -1,16 +1,18 @@
-"""IC-based similarity measures, common-subsumer machinery and word lookup.
+"""IC-based similarity measures over sense pairs, and word lookup.
 
 All operations are reads over a frozen taxonomy and an IC table, whose
 lazy fills are idempotent, so unbounded concurrent callers are safe.  A
 score fills only the IC of the two senses and of nodes that subsume both.
 
-``word_similarity`` is the per-pair path, through one pair kernel built
-per call by ``_pair_kernel``.  The kernel and dataset scoring in
-:mod:`semsim.bench` take their checks on the measure, the table and the
-LCS rule, and their formulas, from ``_formula``.  Five measures are closed
-forms of IC(a), IC(b) and the IC of the least common subsumer (LCS); only
-``proposed`` needs the disjoint common subsumers.  Two conventions
-deserve a note:
+There is one sense-pair path, over taxonomy rows: ``_sense_pairs`` lists
+a word pair's sense pairs in sense order, each with its common-subsumer
+rows and its LCS candidates, and ``_scorer`` scores such a list through
+``_formula``, which holds the measures and their checks.
+``word_similarity_detail``, ``pair_similarity`` and the dataset scoring
+in :mod:`semsim.bench` all call these two; ids appear only at the API
+edge.  Five measures are closed forms of IC(a), IC(b) and the IC of the
+least common subsumer (LCS); only ``proposed`` needs the disjoint common
+subsumers (DCS).  Two conventions deserve a note:
 
 * The LCS rule picks one IC from the pair's common-subsumer set, which is
   never empty because the root subsumes every node.  ``"max_depth"``
@@ -19,14 +21,11 @@ deserve a note:
   larger IC); ``"max_ic"`` takes the maximum IC over the whole set.  The
   two disagree on multiple inheritance when an IC model is not monotone
   along ancestor chains.
-* The disjoint common subsumers of a pair are the hyponym-minimal
-  elements of its common-subsumer set: the members that have no other
-  common subsumer below them.  A greedy sweep in descending depth order
-  computes the same set only if every node is visited before all of its
-  ancestors, which a minimum-distance depth does not guarantee on a DAG
-  (an ancestor reached by a long path can sort deeper than its
-  descendant), so membership is decided by the direct incomparability
-  test rather than by sweep order.
+* The DCS of a pair are the hyponym-minimal elements of its
+  common-subsumer set: the members that have no other common subsumer
+  below them.  A sweep in descending depth order would need every node
+  to come before its ancestors, which a minimum-distance depth does not
+  guarantee on a DAG, so membership is decided by a direct test.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import math
 from enum import Enum
 from typing import Callable
 
-from .errors import DegenerateTable, UnboundedIC, UnknownWord
+from .errors import BatetUndefined, DegenerateTable, UnboundedIC, UnknownWord
 from .ic import ICTable
 from .taxonomy import SynsetId, Taxonomy
 
@@ -55,21 +54,22 @@ class SimMeasureId(str, Enum):
 _LCS_MODES = ("max_depth", "max_ic")
 
 
-def dcs(t: Taxonomy, a: SynsetId, b: SynsetId) -> tuple[SynsetId, ...]:
-    """Hyponym-minimal common subsumers of the pair, deepest first.
+def _dcs_rows(t: Taxonomy, common: frozenset[int]) -> tuple[int, ...]:
+    """The hyponym-minimal rows of a common-subsumer set, deepest first,
+    ties by id.  The set holds every ancestor of its members, so a member
+    has another below it exactly when it is some member's parent."""
+    start, parents = t.columns.parent_start, t.columns.parent_rows
+    above: set[int] = set()
+    for y in common:
+        above.update(parents[start[y]:start[y + 1]])
+    return tuple(sorted(common - above, key=lambda r: (-t.columns.depth[r], t.ids[r])))
 
-    Every strict ancestor of a common subsumer is itself a common
-    subsumer, so the minimal elements are exactly the suspects that are
-    nobody's ancestor within the suspect set.  Members are pairwise
-    unrelated by the hyponym relation, and there is at least one.
-    """
-    suspects = t.subsumers(a) & t.subsumers(b)
-    ancestors_of_suspects: set[SynsetId] = set()
-    for y in suspects:
-        ancestors_of_suspects |= t.subsumers(y) - {y}
-    kept = suspects - ancestors_of_suspects
-    depth, row = t.columns.depth, t.row
-    return tuple(sorted(kept, key=lambda c: (-depth[row[c]], c)))
+
+def dcs(t: Taxonomy, a: SynsetId, b: SynsetId) -> tuple[SynsetId, ...]:
+    """Hyponym-minimal common subsumers of the pair, deepest first, ties by
+    id.  Members are pairwise unrelated, and there is at least one."""
+    common = t.subsumer_rows(t._row_of(a)) & t.subsumer_rows(t._row_of(b))
+    return tuple([t.ids[r] for r in _dcs_rows(t, common)])
 
 
 # Four closed-form measures, as functions of IC(a), IC(b) and IC(lcs).
@@ -86,14 +86,14 @@ _FORMULAS: dict[SimMeasureId, Callable[[float, float, float], float]] = {
 }
 
 
-def _formula(t: Taxonomy, ic: ICTable, measure: SimMeasureId, lcs_mode: str) -> Callable:
+def _formula(ic: ICTable, measure: SimMeasureId, lcs_mode: str) -> Callable:
     """The measure as a function of IC(a), IC(b) and IC(lcs), with its checks
-    done; for proposed, a function of the pair and its DCS members, which it
-    computes itself when not given them.
+    done; for proposed, of IC(a), IC(b) and the IC of each DCS member.
 
     Raises ``ValueError`` for an unknown LCS rule, ``UnboundedIC`` for the
     proposed measure on an unbounded table and ``DegenerateTable`` for
-    batet on a table whose maximum is 0.
+    batet on a table whose maximum is 0.  Batet itself raises
+    ``BatetUndefined`` where IC(LCS) > (IC(a) + IC(b) + 1) / 2.
     """
     if lcs_mode not in _LCS_MODES:
         raise ValueError(f"lcs_mode must be 'max_depth' or 'max_ic', got {lcs_mode!r}")
@@ -108,59 +108,87 @@ def _formula(t: Taxonomy, ic: ICTable, measure: SimMeasureId, lcs_mode: str) -> 
         base = ic.config.log_base_absolute
 
         def batet(ia: float, ib: float, lcs: float) -> float:
-            return -math.log((ia + ib - 2.0 * lcs + 1.0) / (2.0 * max_ic), base)
+            ratio = (ia + ib - 2.0 * lcs + 1.0) / (2.0 * max_ic)
+            if ratio <= 0.0:
+                raise BatetUndefined(f"IC(LCS) {lcs!r} exceeds (IC(a) + IC(b) + 1) / 2"
+                                     f" = {(ia + ib + 1.0) / 2.0!r}")
+            return -math.log(ratio, base)
         return batet
     if not ic.bounded:
         raise UnboundedIC(f"{ic.model} values exceed [0, 1]; normalize the table first")
 
-    def proposed(a: SynsetId, b: SynsetId,
-                 members: tuple[SynsetId, ...] | None = None) -> float:
+    def proposed(ia: float, ib: float, members: list[float]) -> float:
         # mean over the DCS members d of IC(d)/(IC(a)+1) + IC(d)/(IC(b)+1)
-        if members is None:
-            members = dcs(t, a, b)
-        ia1 = ic[a] + 1.0
-        ib1 = ic[b] + 1.0
+        ia1 = ia + 1.0
+        ib1 = ib + 1.0
         total = 0.0
         for d in members:
-            total += ic[d] / ia1 + ic[d] / ib1
+            total += d / ia1 + d / ib1
         return total / len(members)
     return proposed
 
 
-def _pair_kernel(t: Taxonomy, ic: ICTable, measure: SimMeasureId,
-                 lcs_mode: str) -> Callable[[SynsetId, SynsetId], float]:
-    """The measure as a function of one sense pair, with the checks of
-    :func:`_formula` done."""
-    formula = _formula(t, ic, measure, lcs_mode)
+def _sense_pairs(t: Taxonomy, rows1, rows2) -> list[tuple]:
+    """Each pair of a row of ``rows1`` and one of ``rows2``, in sense order,
+    as ``(a, b, common subsumer rows, max_depth LCS candidates)``: the
+    candidates are the common subsumers of greatest longest-path depth."""
+    subsumers, depth_longest = t.subsumer_rows, t.columns.depth_longest
+    pairs = []
+    for a in rows1:
+        above_a = subsumers(a)
+        for b in rows2:
+            common = above_a & subsumers(b)
+            deepest, candidates = -1, []  # a plain loop: the sets hold a few rows
+            for c in common:
+                if depth_longest[c] > deepest:
+                    deepest, candidates = depth_longest[c], [c]
+                elif depth_longest[c] == deepest:
+                    candidates.append(c)
+            pairs.append((a, b, common, candidates))
+    return pairs
+
+
+def _scorer(t: Taxonomy, ic: ICTable, measure: SimMeasureId, lcs_mode: str) -> Callable:
+    """The measure over a list of :func:`_sense_pairs`, giving each pair's
+    value in order, with the checks of :func:`_formula` done first.  The
+    scorer's second argument holds the pairs' DCS rows; proposed fills it
+    when it is empty, so a caller that keeps it computes each DCS once."""
+    formula = _formula(ic, measure, lcs_mode)
+    by_row = ic.by_row
+    ic_of = by_row.__getitem__
     if measure is SimMeasureId.PROPOSED:
-        return formula
+        def score(pairs: list[tuple], dcs_rows: list) -> list[float]:
+            if not dcs_rows:
+                dcs_rows += [_dcs_rows(t, common) for _, _, common, _ in pairs]
+            return [formula(by_row[a], by_row[b], list(map(ic_of, members)))
+                    for (a, b, _, _), members in zip(pairs, dcs_rows)]
+        return score
 
-    subsumers = t.subsumers
-    depth_longest, row = t.columns.depth_longest, t.row
-    if lcs_mode == "max_ic":
-        def closed_form(a: SynsetId, b: SynsetId) -> float:
-            return formula(ic[a], ic[b], max(ic[c] for c in subsumers(a) & subsumers(b)))
-        return closed_form
+    by_depth = lcs_mode == "max_depth"
 
-    def closed_form(a: SynsetId, b: SynsetId) -> float:
-        cs = subsumers(a) & subsumers(b)
-        deepest = max(depth_longest[row[c]] for c in cs)
-        lcs = max(ic[c] for c in cs if depth_longest[row[c]] == deepest)
-        return formula(ic[a], ic[b], lcs)
-    return closed_form
+    def score(pairs: list[tuple], dcs_rows: list) -> list[float]:
+        values = []
+        try:
+            for a, b, common, candidates in pairs:
+                values.append(formula(by_row[a], by_row[b],
+                                      max(map(ic_of, candidates if by_depth else common))))
+        except BatetUndefined as exc:
+            raise BatetUndefined(f"batet is undefined for {t.ids[a]} x {t.ids[b]}: {exc}") from None
+        return values
+    return score
 
 
 def pair_similarity(t: Taxonomy, ic: ICTable, measure: SimMeasureId,
                     a: SynsetId, b: SynsetId, lcs_mode: str = "max_depth") -> float:
     """The measure on one sense pair, under the LCS rule ``lcs_mode``."""
-    return _pair_kernel(t, ic, SimMeasureId(measure), lcs_mode)(a, b)
+    score = _scorer(t, ic, SimMeasureId(measure), lcs_mode)
+    return score(_sense_pairs(t, (t._row_of(a),), (t._row_of(b),)), [])[0]
 
 
 def word_similarity(t: Taxonomy, ic: ICTable, measure: SimMeasureId,
                     word1: str, word2: str, lcs_mode: str = "max_depth") -> float:
     """Maximum of the measure over the cross product of the words' senses."""
-    score, _ = word_similarity_detail(t, ic, measure, word1, word2, lcs_mode)
-    return score
+    return word_similarity_detail(t, ic, measure, word1, word2, lcs_mode)[0]
 
 
 def word_similarity_detail(
@@ -173,19 +201,10 @@ def word_similarity_detail(
     on dictionary hash order.
     """
     measure = SimMeasureId(measure)
-    senses1 = t.senses(word1)
-    if not senses1:
-        raise UnknownWord(word1)
-    senses2 = t.senses(word2)
-    if not senses2:
-        raise UnknownWord(word2)
-    kernel = _pair_kernel(t, ic, measure, lcs_mode)
-    best = -math.inf
-    best_pair = (senses1[0], senses2[0])
-    for a in senses1:
-        for b in senses2:
-            value = kernel(a, b)
-            if value > best:
-                best = value
-                best_pair = (a, b)
-    return best, best_pair
+    rows1, rows2 = t.sense_rows(word1), t.sense_rows(word2)
+    if not (rows1 and rows2):
+        raise UnknownWord(word2 if rows1 else word1)
+    pairs = _sense_pairs(t, rows1, rows2)
+    values = _scorer(t, ic, measure, lcs_mode)(pairs, [])
+    best = values.index(max(values))  # the first of equal maxima
+    return values[best], (t.ids[pairs[best][0]], t.ids[pairs[best][1]])

@@ -25,7 +25,7 @@ builds nothing, but each value read is built on the spot: a
 all values of ``nodes`` or ``stats`` allocates one object per node.  A
 word's sense tuple is the exception: ``word_index`` and
 :meth:`Taxonomy.senses` build it on the word's first read and share it
-from then on.
+from then on, and :meth:`Taxonomy.sense_rows` keeps its rows alike.
 """
 
 from __future__ import annotations
@@ -281,7 +281,8 @@ class Taxonomy:
         self._word_row = word_row = dict(zip(words, range(len(words))))
         # memos of pure functions: a fill stores the same value in every thread
         self._senses: dict[str, tuple[SynsetId, ...]] = {}
-        self._subsumer_cache: dict[SynsetId, frozenset[SynsetId]] = {}
+        self._sense_rows: dict[str, tuple[int, ...]] = {}
+        self._subsumer_cache: dict[int, frozenset[int]] = {}
         self._max_ic: dict[tuple, float] = {}  # ic's full kernel pass per (model, config)
         self.nodes: Mapping[SynsetId, Synset] = _View(ids, row, self._synset)
         self.stats: Mapping[SynsetId, NodeStats] = _View(ids, row, self._node_stats)
@@ -319,28 +320,32 @@ class Taxonomy:
             found = self._senses[word] = self._ids_at(c.sense_start, c.sense_rows, w)
         return found
 
-    def subsumers(self, synset_id: SynsetId) -> frozenset[SynsetId]:
-        """Ancestor set of the node, the node itself included.
+    def subsumer_rows(self, row: int) -> frozenset[int]:
+        """Ancestor rows of a row, the row itself included, kept once built.
 
-        The first call for a node walks the parent rows; the set is kept
-        and served to every later call.
+        A set is the union of the parents' sets and the row, built parents
+        first, so that the kept sets share their int objects.
         """
-        cached = self._subsumer_cache.get(synset_id)
-        if cached is not None:
-            return cached
+        cache = self._subsumer_cache
+        found = cache.get(row)
+        if found is not None:
+            return found
         start, parents = self.columns.parent_start, self.columns.parent_rows
-        seen = {self._row_of(synset_id)}
-        stack = list(seen)
+        stack = [row]
         while stack:
-            r = stack.pop()
-            for p in parents[start[r]:start[r + 1]]:
-                if p not in seen:
-                    seen.add(p)
-                    stack.append(p)
+            r = stack[-1]
+            ps = parents[start[r]:start[r + 1]]
+            todo = [p for p in ps if p not in cache]
+            if todo:
+                stack += todo
+            else:
+                cache[stack.pop()] = frozenset([r]).union(*[cache[p] for p in ps])
+        return cache[row]
+
+    def subsumers(self, synset_id: SynsetId) -> frozenset[SynsetId]:
+        """Ancestor set of the node, the node itself included."""
         ids = self.ids
-        result = frozenset([ids[r] for r in seen])
-        self._subsumer_cache[synset_id] = result
-        return result
+        return frozenset([ids[r] for r in self.subsumer_rows(self._row_of(synset_id))])
 
     def depth(self, synset_id: SynsetId) -> int:
         """Minimum edge distance from the root (0 for the root)."""
@@ -349,11 +354,18 @@ class Taxonomy:
     def senses(self, word: str) -> tuple[SynsetId, ...]:
         """Noun senses of a word; case-insensitive, spaces map to underscores."""
         key = word.lower().replace(" ", "_")
-        found = self._senses.get(key)
-        if found is not None:
-            return found
         w = self._word_row.get(key)
         return () if w is None else self._sense_ids(key, w)
+
+    def sense_rows(self, word: str) -> tuple[int, ...]:
+        """Rows of the word's :meth:`senses`, read from the sense CSR on the
+        word's first read and kept."""
+        key = word.lower().replace(" ", "_")
+        found = self._sense_rows.get(key)
+        if found is None and key in self._word_row:
+            start, w = self.columns.sense_start, self._word_row[key]
+            found = self._sense_rows[key] = tuple(self.columns.sense_rows[start[w]:start[w + 1]])
+        return found or ()
 
 
 def _offsets(lists) -> array:

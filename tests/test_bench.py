@@ -1,6 +1,7 @@
 """Dataset loading, correlation and evaluation harness."""
 
 import json
+import math
 import random
 
 import numpy as np
@@ -9,14 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 from semsim.bench import (FULL_GRID, BenchmarkDataset, evaluate, grid_report,
                           load_dataset, pearson)
-from semsim.errors import (AllPairsSkipped, DegenerateTable, EmptyDataset,
+from semsim.errors import (AllPairsSkipped, BatetUndefined, DegenerateTable, EmptyDataset,
                            LengthMismatch, MalformedLine, MalformedRow, MissingFile,
-                           NonFiniteScore, SemsimError, UnknownWord, ZeroVariance)
+                           NonFiniteScore, SemsimError, UnboundedIC, UnknownWord,
+                           ZeroVariance)
 from semsim.ic import ICConfig, ICModelId, ic_table
-from semsim.similarity import SimMeasureId, word_similarity
+from semsim.similarity import SimMeasureId, word_similarity, word_similarity_detail
 from semsim.taxonomy import RawGraph, freeze
 
-from conftest import DATA, raw_dags, word_indexes
+from conftest import DATA, brute_closure, raw_dags, word_indexes
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -243,22 +245,80 @@ class TestGrid:
                 grid_report(t, ds, [(ICModelId.SECO, SimMeasureId.LIN)], lcs_mode="bogus")
 
 
-def word_path_row(t, ds, table, measure, lcs_mode):
-    """A grid row as the per-pair word path scores it: each pair's
-    machine score (None when skipped), n_used and pearson_raw, by repr."""
-    machine, human, per_pair = [], [], []
-    for w1, w2, h in ds.pairs:
-        try:
-            score = word_similarity(t, table, measure, w1, w2, lcs_mode)
-        except UnknownWord:
-            per_pair.append(None)
-            continue
-        per_pair.append(repr(score))
-        machine.append(score)
-        human.append(h)
-    if not machine:
-        raise AllPairsSkipped("no scorable pairs")
-    return per_pair, len(machine), repr(pearson(machine, human))
+class Reference:
+    """Word scores from ids alone, written apart from the package's scoring:
+    closures by brute force, IC by ``table[id]`` and the six formulas
+    spelled out here.  A word pair scores its best sense pair, the earliest
+    in sense order on a tie, and fails with the error types the package
+    raises, in the order it checks them."""
+
+    def __init__(self, t):
+        self.t = t
+        self.up = {x: brute_closure(t, x, "parents") | {x} for x in t.nodes}
+        self.down = {x: brute_closure(t, x, "children") for x in t.nodes}
+
+    def value(self, table, measure, a, b, lcs_mode, top):
+        t, common = self.t, self.up[a] & self.up[b]
+        ia, ib = table[a], table[b]
+        if measure is SimMeasureId.PROPOSED:
+            members = sorted((x for x in common if not self.down[x] & common),
+                             key=lambda x: (-t.depth(x), x))
+            total = 0.0
+            for d in members:
+                total += table[d] / (ia + 1.0) + table[d] / (ib + 1.0)
+            return total / len(members)
+        if lcs_mode == "max_depth":
+            deepest = max(t.stats[c].depth_longest for c in common)
+            common = {c for c in common if t.stats[c].depth_longest == deepest}
+        lcs = max(table[c] for c in common)
+        if measure is SimMeasureId.RESNIK:
+            return lcs
+        if measure is SimMeasureId.LIN:
+            return 0.0 if ia + ib <= 0.0 else 2.0 * lcs / (ia + ib)
+        if measure is SimMeasureId.JIANG_CONRATH:
+            return 1.0 - (ia + ib - 2.0 * lcs) / 2.0
+        if measure is SimMeasureId.FAITH:
+            return 0.0 if ia + ib - lcs <= 0.0 else lcs / (ia + ib - lcs)
+        ratio = (ia + ib - 2.0 * lcs + 1.0) / (2.0 * top)
+        if ratio <= 0.0:
+            raise BatetUndefined(f"{a} x {b}")
+        return -math.log(ratio, table.config.log_base_absolute)
+
+    def word(self, table, measure, w1, w2, lcs_mode):
+        """The word pair's score and best sense pair."""
+        t = self.t
+        for w in (w1, w2):
+            if not t.senses(w):
+                raise UnknownWord(w)
+        top = max(table[c] for c in t.nodes)
+        if measure is SimMeasureId.BATET and top <= 0.0:
+            raise DegenerateTable("max_ic 0")
+        if measure is SimMeasureId.PROPOSED and not table.bounded:
+            raise UnboundedIC("unbounded")
+        best = None
+        for a in t.senses(w1):
+            for b in t.senses(w2):
+                value = self.value(table, measure, a, b, lcs_mode, top)
+                if best is None or value > best[0]:
+                    best = (value, (a, b))
+        return best
+
+    def row(self, ds, table, measure, lcs_mode):
+        """A grid row: each pair's score and best sense pair (None when
+        skipped), n_used and pearson_raw, floats by repr."""
+        machine, human, per_pair = [], [], []
+        for w1, w2, h in ds.pairs:
+            try:
+                score, senses = self.word(table, measure, w1, w2, lcs_mode)
+            except UnknownWord:
+                per_pair.append(None)
+                continue
+            per_pair.append((repr(score), senses))
+            machine.append(score)
+            human.append(h)
+        if not machine:
+            raise AllPairsSkipped("no scorable pairs")
+        return per_pair, len(machine), repr(pearson(machine, human))
 
 
 def failure(fn, *args):
@@ -274,8 +334,11 @@ class TestGridMatchesWordPath:
     @settings(max_examples=60, deadline=None)
     @given(raw_dags(), st.data())
     def test_rows_equal_the_word_path(self, drawn, data):
-        # the shared pair plan against word_similarity, the reference path
+        # the shared pair plan and word_similarity_detail, each against an
+        # id-level reference, under both LCS rules; rows in drawn order, so
+        # that an order of rows cannot stand in for an order of ids
         raw, depth_mode = drawn
+        raw = RawGraph(parents=dict(data.draw(st.permutations(list(raw.parents.items())))))
         index = data.draw(word_indexes(freeze(raw).nodes))
         t = freeze(raw, depth_mode=depth_mode, word_index=index)
         words = sorted(t.words) + ["unknown"]
@@ -287,26 +350,38 @@ class TestGridMatchesWordPath:
                               (0.0, 10.0))
         cfg = data.draw(st.sampled_from([ICConfig(), ICConfig(normalize_unbounded=True)]))
         tables = {m: ic_table(t, m, cfg) for m in ICModelId}
-        combos = [(m, s) for m in ICModelId for s in SimMeasureId
-                  if s is not SimMeasureId.PROPOSED or tables[m].bounded]
+        ref = Reference(t)
+        combos = [(m, s) for m in ICModelId for s in SimMeasureId]
         for mode in ("max_depth", "max_ic"):
             expected, failing = {}, []
             for m, s in combos:
-                if failure(word_path_row, t, ds, tables[m], s, mode) is None:
-                    expected[m, s] = word_path_row(t, ds, tables[m], s, mode)
+                if failure(ref.row, ds, tables[m], s, mode) is None:
+                    expected[m, s] = ref.row(ds, tables[m], s, mode)
                 else:
                     failing.append((m, s))
             for m, s in failing:
                 assert failure(grid_report, t, ds, [(m, s)], cfg, mode) is \
-                    failure(word_path_row, t, ds, tables[m], s, mode)
+                    failure(ref.row, ds, tables[m], s, mode)
+                for w1, w2 in pairs:
+                    assert failure(word_similarity_detail, t, tables[m], s, w1, w2, mode) is \
+                        failure(ref.word, tables[m], s, w1, w2, mode)
+            for (m, s), (per_pair, n_used, pearson_raw) in expected.items():
+                for (w1, w2), want in zip(pairs, per_pair):
+                    if want is None:
+                        assert failure(word_similarity_detail, t, tables[m], s, w1, w2,
+                                       mode) is UnknownWord
+                        continue
+                    score, senses = word_similarity_detail(t, tables[m], s, w1, w2, mode)
+                    assert (repr(score), senses) == want
             if not expected:
                 continue
             report = grid_report(t, ds, list(expected), cfg, mode)
             assert [(r.ic_model, r.measure) for r in report.results] == list(expected)
             for r in report.results:
-                per_pair = [None if p.machine is None else repr(p.machine)
-                            for p in r.per_pair]
-                assert (per_pair, r.n_used, repr(r.pearson_raw)) == \
-                    expected[r.ic_model, r.measure]
+                per_pair, n_used, pearson_raw = expected[r.ic_model, r.measure]
+                assert [None if p.machine is None else repr(p.machine)
+                        for p in r.per_pair] == \
+                    [None if want is None else want[0] for want in per_pair]
+                assert (r.n_used, repr(r.pearson_raw)) == (n_used, pearson_raw)
                 assert [p.status == "ok" for p in r.per_pair] == \
-                    [v is not None for v in per_pair]
+                    [want is not None for want in per_pair]

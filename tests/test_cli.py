@@ -96,6 +96,14 @@ class TestUsage:
         assert run(capsys, "--edgelist", str(edges), "stats") == (
             1, "", "semsim: pinned root 'a' has parents\n")
 
+    def test_batet_outside_its_domain_exits_1(self, capsys):
+        code, out, err = run(capsys, "--edgelist", str(FIXTURES / "batet_domain.tsv"),
+                             "--lcs-mode", "max-ic", "sim", "--ic", "meng",
+                             "--measure", "batet", "n05", "n05")
+        assert (code, out) == (1, "")
+        assert err.startswith("semsim: batet is undefined for n05 x n05: IC(LCS) ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--zhou-k", "2", "zhou_k must be in [0, 1], got 2.0"),
         ("--log-base", "nan", "log base must be finite and exceed 1, got nan"),

@@ -13,14 +13,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semsim.bench import BenchmarkDataset, evaluate
-from semsim.errors import DegenerateTable, UnboundedIC, UnknownWord
+from semsim.errors import BatetUndefined, DegenerateTable, UnboundedIC, UnknownWord
 from semsim.ic import ICConfig, ICModelId, ICTable, ic_table
 from semsim.similarity import (SimMeasureId, dcs, pair_similarity, word_similarity,
                                word_similarity_detail)
-from semsim.taxonomy import freeze
+from semsim.taxonomy import RawGraph, freeze
 from semsim.wordnet import parse_edgelist
 
-from conftest import FIXTURES, brute_closure, build, dags, random_taxonomy
+from conftest import (FIXTURES, brute_closure, build, dags, random_raw_graph,
+                      random_taxonomy)
 
 ALL_MEASURES = list(SimMeasureId)
 LCS_MODES = ("max_depth", "max_ic")
@@ -50,7 +51,8 @@ class TestLcs:
         # p is an ancestor of c but carries a higher hand-assigned IC;
         # the deepest-subsumer rule must still pick c for the self pair
         t = build({"r": [], "p": ["r"], "c": ["p"]})
-        table = ICTable(ICModelId.PROPOSED, {"r": 0.0, "p": 0.9, "c": 0.4}, float)
+        values = {"r": 0.0, "p": 0.9, "c": 0.4}
+        table = ICTable(ICModelId.PROPOSED, t, lambda r: values[t.ids[r]])
         assert table.max_ic == 0.9
         assert pair_similarity(t, table, RESNIK, "c", "c", "max_depth") == 0.4
         assert pair_similarity(t, table, RESNIK, "c", "c", "max_ic") == 0.9
@@ -107,12 +109,15 @@ class TestDcsOracle:
         rng = random.Random(97)
         checked = 0
         for _ in range(500):
-            t = random_taxonomy(rng, max_nodes=50, max_parents=3)
+            # rows in shuffled order, so that the order of rows and of ids differ
+            items = list(random_raw_graph(rng, max_nodes=50, max_parents=3).parents.items())
+            rng.shuffle(items)
+            t = freeze(RawGraph(parents=dict(items)))
             ids = sorted(t.nodes)
             for _ in range(4):
                 a, b = rng.choice(ids), rng.choice(ids)
                 got = dcs(t, a, b)
-                assert set(got) == brute_dcs(t, a, b)
+                assert got == tuple(sorted(brute_dcs(t, a, b), key=lambda x: (-t.depth(x), x)))
                 assert got == dcs(t, b, a)  # symmetric
                 # antichain: no member subsumes another
                 for m in got:
@@ -159,6 +164,22 @@ class TestMeasureFormulas:
         for x, y in [("a", "b"), ("b", "b"), ("a", "a")]:
             assert pair_similarity(chain, t2, BATET, x, y) == pytest.approx(
                 pair_similarity(chain, t10, BATET, x, y) * math.log2(10), rel=1e-12)
+
+    def test_batet_outside_its_domain_is_a_typed_error(self):
+        # under max_ic, n05's common subsumers include one whose meng IC
+        # exceeds (IC(n05) + IC(n05) + 1) / 2, so batet's logarithm has no value
+        t = freeze(parse_edgelist(FIXTURES / "batet_domain.tsv"))
+        table = ic_table(t, ICModelId.MENG)
+        dataset = BenchmarkDataset(name="d", pairs=(("n01", "n02", 1.0), ("n05", "n05", 2.0)),
+                                   scale=(1.0, 2.0))
+        calls = (lambda: pair_similarity(t, table, BATET, "n05", "n05", "max_ic"),
+                 lambda: word_similarity(t, table, BATET, "n05", "n05", "max_ic"),
+                 lambda: evaluate(t, dataset, table, BATET, "max_ic"))
+        for call in calls:
+            with pytest.raises(BatetUndefined, match="^batet is undefined for n05 x n05: ") as err:
+                call()
+            assert isinstance(err.value, ValueError)
+        assert math.isfinite(pair_similarity(t, table, BATET, "n05", "n05", "max_depth"))
 
     def test_batet_degenerate_table(self):
         t = build({"only": []})
@@ -231,7 +252,7 @@ class TestMeasureProperties:
         t1 = build(base)
         t2 = build({**base, "new_leaf": ["c"]})
         values = {"r": 0.0, "a": 0.7, "b": 0.5, "c": 0.9, "new_leaf": 0.95}
-        mk = lambda t: ICTable(ICModelId.PROPOSED, {n: values[n] for n in t.nodes}, float)
+        mk = lambda t: ICTable(ICModelId.PROPOSED, t, lambda r: values[t.ids[r]])
         assert pair_similarity(t1, mk(t1), RESNIK, "a", "c") == \
             pair_similarity(t2, mk(t2), RESNIK, "a", "c")
 
@@ -240,7 +261,6 @@ class TestMeasureProperties:
         t = random_taxonomy(rng, max_nodes=40)
         items = [(n, list(t.nodes[n].parents)) for n in t.nodes]
         rng.shuffle(items)
-        from semsim.taxonomy import RawGraph
         t2 = freeze(RawGraph(parents=dict(items)))
         table1 = ic_table(t, ICModelId.PROPOSED)
         table2 = ic_table(t2, ICModelId.PROPOSED)
@@ -257,7 +277,6 @@ class TestWordSimilarity:
     @pytest.fixture
     def toy(self):
         # "star" is polysemous: a celestial body and a performer
-        from semsim.taxonomy import RawGraph
         raw = RawGraph(
             parents={"e": [], "obj": ["e"], "person": ["e"], "body": ["obj"],
                      "star1": ["body"], "performer": ["person"],

@@ -78,6 +78,30 @@ def test_every_traced_name_exists():
     assert missing <= TRACED_BUT_REMOVED
 
 
+def test_one_function_scores_sense_pairs():
+    # the measures' formulas are reached through the one scorer only, so a
+    # second sense-pair path cannot come back unnoticed
+    uses = []
+    for path in sorted((REPO / "src" / "semsim").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        # ast.walk goes from the outside in, so the innermost function wins
+        owner = {id(node): func.name for func in ast.walk(tree)
+                 if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if "_formula" in names:
+                uses.append(f"{path.name}:{owner.get(id(node), '<module>')}")
+    assert uses == ["similarity.py:_scorer"]
+
+
 def test_snapshot_format_pins_the_column_layout():
     # a snapshot stores the columns in this order with these typecodes,
     # under a header with these keys, and is served whenever its format tag
