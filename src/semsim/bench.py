@@ -2,7 +2,7 @@
 
 Machine scores are those of :func:`semsim.similarity.word_similarity`:
 one pair plan per dataset lists its sense pairs once, and every table and
-measure scores that list, both through the word path's own functions.
+measure scores that list in one call of the word path's own scorer.
 Pairs whose words have no noun sense are marked skipped and excluded from
 the correlation (they are never zero-filled).
 Reported correlations are rounded to two decimals, with the raw value
@@ -11,9 +11,8 @@ kept alongside.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import (AllPairsSkipped, EmptyDataset, LengthMismatch, MalformedRow,
@@ -54,26 +53,15 @@ class EvalResult:
     pearson_raw: float
     n_used: int
 
+    def _summary(self) -> dict:
+        """The fields that sum up the result, in its JSON and in a grid's rows."""
+        return {"ic_model": str(self.ic_model), "measure": str(self.measure),
+                "pearson": self.pearson, "pearson_raw": self.pearson_raw,
+                "n_used": self.n_used}
+
     def to_json_obj(self) -> dict:
-        return {
-            "schema": JSON_SCHEMA_VERSION,
-            "dataset": self.dataset,
-            "ic_model": str(self.ic_model),
-            "measure": str(self.measure),
-            "pearson": self.pearson,
-            "pearson_raw": self.pearson_raw,
-            "n_used": self.n_used,
-            "pairs": [
-                {
-                    "word1": p.word1,
-                    "word2": p.word2,
-                    "human": p.human,
-                    "machine": p.machine,
-                    "status": p.status,
-                }
-                for p in self.per_pair
-            ],
-        }
+        return {"schema": JSON_SCHEMA_VERSION, "dataset": self.dataset, **self._summary(),
+                "pairs": [asdict(p) for p in self.per_pair]}
 
 
 def load_dataset(path) -> BenchmarkDataset:
@@ -134,16 +122,23 @@ def pearson(xs, ys) -> float:
         raise LengthMismatch(f"need at least 2 points, got {n}")
     if not all(map(math.isfinite, xs + ys)):
         raise NonFiniteScore("the correlation inputs hold a NaN or an infinity")
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    dx = [x - mean_x for x in xs]
-    dy = [y - mean_y for y in ys]
-    var_x = sum(d * d for d in dx)
-    var_y = sum(d * d for d in dy)
+    # Plain loops add left to right on every version; the builtin sum
+    # compensates its rounding from Python 3.12 on, which moves last digits.
+    sum_x = sum_y = 0.0
+    for x, y in zip(xs, ys):
+        sum_x += x
+        sum_y += y
+    mean_x, mean_y = sum_x / n, sum_y / n
+    var_x = var_y = cov = 0.0
+    for x, y in zip(xs, ys):
+        dx, dy = x - mean_x, y - mean_y
+        var_x += dx * dx
+        var_y += dy * dy
+        cov += dx * dy
     denom = math.sqrt(var_x) * math.sqrt(var_y)  # the product alone can underflow
     if denom == 0.0:
         raise ZeroVariance("one of the score vectors is constant")
-    r = sum(a * b for a, b in zip(dx, dy)) / denom
+    r = cov / denom
     return max(-1.0, min(1.0, r))
 
 
@@ -169,7 +164,7 @@ class _PairPlan:
         dataset = self.dataset
         if not any(self.spans):
             raise AllPairsSkipped(f"no scorable pairs in {dataset.name}")
-        values = _scorer(self.t, table, measure, lcs_mode)(self.pairs, self.dcs)
+        values = _scorer(self.t, table, measure, lcs_mode, self.pairs, self.dcs)
         per_pair: list[PairScore] = []
         machine: list[float] = []
         human: list[float] = []
@@ -243,28 +238,12 @@ class GridReport:
     literature: tuple = ()
 
     def to_json_obj(self) -> dict:
-        rows = [
-            {
-                "ic_model": str(r.ic_model),
-                "measure": str(r.measure),
-                "pearson": r.pearson,
-                "pearson_raw": r.pearson_raw,
-                "n_used": r.n_used,
-            }
-            for r in self.results
-        ]
-        obj = {
-            "schema": JSON_SCHEMA_VERSION,
-            "dataset": self.dataset,
-            "rows": rows,
-        }
+        obj = {"schema": JSON_SCHEMA_VERSION, "dataset": self.dataset,
+               "rows": [r._summary() for r in self.results]}
         if self.literature:
             obj["literature"] = [dict(e, note="reported, not computed")
                                  for e in self.literature]
         return obj
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
 
     def to_tsv(self) -> str:
         lines = ["ic_model\tmeasure\tpearson\tn_used"]

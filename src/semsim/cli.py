@@ -146,12 +146,11 @@ def load_taxonomy(args) -> Taxonomy:
     if args.cache:
         if any(_same_file(args.cache, source) for source in sources):
             raise UsageError(f"--cache names a WordNet source file: {args.cache}")
-        # A missing, damaged, foreign or stale snapshot is a cache miss.  A
-        # JSON header nested deep enough raises RecursionError.
+        # A missing, damaged, foreign or stale snapshot is a cache miss.
         try:
             fingerprint = _source_fingerprint(sources, args.depth_mode)
             cached = _read_snapshot(args.cache, fingerprint)
-        except (OSError, ValueError, RecursionError):
+        except (OSError, ValueError):
             cached = None
         if cached is not None:
             return cached
@@ -194,16 +193,22 @@ def _write_snapshot(path: str, t: Taxonomy, fingerprint: str) -> None:
             os.unlink(tmp)  # already gone after a successful replace
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+def _json_report(obj: dict) -> str:
+    """The text of a JSON report: ``obj`` stamped with the schema version,
+    keys sorted, a two-space indent and one final newline."""
+    return json.dumps({"schema": bench.JSON_SCHEMA_VERSION, **obj}, indent=2,
+                      sort_keys=True) + "\n"
+
+
+def _emit_json(obj: dict) -> None:
+    print(_json_report(obj), end="")
 
 
 def cmd_stats(args) -> int:
     t = load_taxonomy(args)
     c = t.constants
     if args.format == "json":
-        _emit_json({"schema": bench.JSON_SCHEMA_VERSION, "root": t.root,
-                    "node_max": c.node_max, "deep_max": c.deep_max,
+        _emit_json({"root": t.root, "node_max": c.node_max, "deep_max": c.deep_max,
                     "leaves_max": c.leaves_max})
     else:
         print(f"root: {t.root}")
@@ -225,7 +230,7 @@ def cmd_ic(args) -> int:
     table = ic_table(t, args.model, cfg)
     rows = [(sid, t.nodes[sid].lemmas, table[sid]) for sid in sense_ids]
     if args.format == "json":
-        _emit_json({"schema": bench.JSON_SCHEMA_VERSION, "model": args.model,
+        _emit_json({"model": args.model,
                     "senses": [{"synset": sid, "lemmas": list(lem), "ic": round(v, 3)}
                                for sid, lem, v in rows]})
     else:
@@ -242,9 +247,8 @@ def cmd_sim(args) -> int:
     score, (sa, sb) = word_similarity_detail(t, table, measure,
                                              args.word1, args.word2, args.lcs_mode)
     if args.format == "json":
-        obj = {"schema": bench.JSON_SCHEMA_VERSION, "word1": args.word1,
-               "word2": args.word2, "ic_model": args.ic, "measure": args.measure,
-               "similarity": round(score, 3)}
+        obj = {"word1": args.word1, "word2": args.word2, "ic_model": args.ic,
+               "measure": args.measure, "similarity": round(score, 3)}
         if args.show_senses:
             obj["senses"] = [sa, sb]
             if measure is SimMeasureId.PROPOSED:
@@ -268,8 +272,8 @@ def cmd_dcs(args) -> int:
                                          args.word1, args.word2, args.lcs_mode)
     members = dcs_of_pair(t, sa, sb)
     if args.format == "json":
-        _emit_json({"schema": bench.JSON_SCHEMA_VERSION, "word1": args.word1,
-                    "word2": args.word2, "senses": [sa, sb], "dcs": list(members)})
+        _emit_json({"word1": args.word1, "word2": args.word2, "senses": [sa, sb],
+                    "dcs": list(members)})
     else:
         print(f"senses: {sa} x {sb}")
         for m in members:
@@ -284,8 +288,7 @@ def cmd_eval(args) -> int:
     table = ic_table(t, args.ic, cfg)
     result = bench.evaluate(t, dataset, table, args.measure, args.lcs_mode)
     if args.json:
-        _write_report(args.json, json.dumps(result.to_json_obj(), indent=2, sort_keys=True)
-                      + "\n")
+        _write_report(args.json, _json_report(result.to_json_obj()))
     if args.format == "json":
         _emit_json(result.to_json_obj())
         return 0
@@ -326,9 +329,9 @@ def cmd_grid(args) -> int:
     report = bench.grid_report(t, dataset, combos, cfg, args.lcs_mode,
                                with_literature=args.literature)
     if args.json:
-        _write_report(args.json, report.to_json())
+        _write_report(args.json, _json_report(report.to_json_obj()))
     if args.format == "json":
-        print(report.to_json(), end="")
+        _emit_json(report.to_json_obj())
     else:
         print(report.to_tsv(), end="")
     computed = {(str(r.ic_model), str(r.measure)): r.pearson for r in report.results}

@@ -6,13 +6,14 @@ score fills only the IC of the two senses and of nodes that subsume both.
 
 There is one sense-pair path, over taxonomy rows: ``_sense_pairs`` lists
 a word pair's sense pairs in sense order, each with its common-subsumer
-rows and its LCS candidates, and ``_scorer`` scores such a list through
-``_formula``, which holds the measures and their checks.
-``word_similarity_detail``, ``pair_similarity`` and the dataset scoring
-in :mod:`semsim.bench` all call these two; ids appear only at the API
-edge.  Five measures are closed forms of IC(a), IC(b) and the IC of the
-least common subsumer (LCS); only ``proposed`` needs the disjoint common
-subsumers (DCS).  Two conventions deserve a note:
+rows and its LCS candidates, and one call of ``_scorer`` returns the
+values of such a list, through ``_formula``, which holds the measures and
+their checks.  ``word_similarity_detail``, ``pair_similarity`` and the
+dataset scoring in :mod:`semsim.bench` all call these two, each once;
+ids appear only at the API edge.  Five measures are closed forms of
+IC(a), IC(b) and the IC of the least common subsumer (LCS); only
+``proposed`` needs the disjoint common subsumers (DCS).  Two conventions
+deserve a note:
 
 * The LCS rule picks one IC from the pair's common-subsumer set, which is
   never empty because the root subsumes every node.  ``"max_depth"``
@@ -148,41 +149,39 @@ def _sense_pairs(t: Taxonomy, rows1, rows2) -> list[tuple]:
     return pairs
 
 
-def _scorer(t: Taxonomy, ic: ICTable, measure: SimMeasureId, lcs_mode: str) -> Callable:
-    """The measure over a list of :func:`_sense_pairs`, giving each pair's
-    value in order, with the checks of :func:`_formula` done first.  The
-    scorer's second argument holds the pairs' DCS rows; proposed fills it
-    when it is empty, so a caller that keeps it computes each DCS once."""
+def _scorer(t: Taxonomy, ic: ICTable, measure: SimMeasureId, lcs_mode: str,
+            pairs: list[tuple], dcs_rows: list) -> list[float]:
+    """The measure's value on each of a list of :func:`_sense_pairs`, in
+    order, with the checks of :func:`_formula` done first.  ``dcs_rows``
+    holds the pairs' DCS rows; proposed fills it when it is empty, so a
+    caller that keeps it computes each DCS once."""
     formula = _formula(ic, measure, lcs_mode)
     by_row = ic.by_row
     ic_of = by_row.__getitem__
     if measure is SimMeasureId.PROPOSED:
-        def score(pairs: list[tuple], dcs_rows: list) -> list[float]:
-            if not dcs_rows:
-                dcs_rows += [_dcs_rows(t, common) for _, _, common, _ in pairs]
-            return [formula(by_row[a], by_row[b], list(map(ic_of, members)))
-                    for (a, b, _, _), members in zip(pairs, dcs_rows)]
-        return score
-
+        if not dcs_rows:
+            dcs_rows += [_dcs_rows(t, common) for _, _, common, _ in pairs]
+        return [formula(by_row[a], by_row[b], list(map(ic_of, members)))
+                for (a, b, _, _), members in zip(pairs, dcs_rows)]
     by_depth = lcs_mode == "max_depth"
-
-    def score(pairs: list[tuple], dcs_rows: list) -> list[float]:
-        values = []
-        try:
-            for a, b, common, candidates in pairs:
-                values.append(formula(by_row[a], by_row[b],
-                                      max(map(ic_of, candidates if by_depth else common))))
-        except BatetUndefined as exc:
-            raise BatetUndefined(f"batet is undefined for {t.ids[a]} x {t.ids[b]}: {exc}") from None
-        return values
-    return score
+    values = []
+    try:
+        for a, b, common, candidates in pairs:
+            values.append(formula(by_row[a], by_row[b],
+                                  max(map(ic_of, candidates if by_depth else common))))
+    except BatetUndefined as exc:
+        raise BatetUndefined(f"batet is undefined for {t.ids[a]} x {t.ids[b]}: {exc}") from None
+    return values
 
 
 def pair_similarity(t: Taxonomy, ic: ICTable, measure: SimMeasureId,
                     a: SynsetId, b: SynsetId, lcs_mode: str = "max_depth") -> float:
-    """The measure on one sense pair, under the LCS rule ``lcs_mode``."""
-    score = _scorer(t, ic, SimMeasureId(measure), lcs_mode)
-    return score(_sense_pairs(t, (t._row_of(a),), (t._row_of(b),)), [])[0]
+    """The measure on one sense pair, under the LCS rule ``lcs_mode``.
+    As with words, an unknown id (``UnknownSynset``) comes before the
+    checks on the table and the LCS rule."""
+    measure = SimMeasureId(measure)
+    pairs = _sense_pairs(t, (t._row_of(a),), (t._row_of(b),))
+    return _scorer(t, ic, measure, lcs_mode, pairs, [])[0]
 
 
 def word_similarity(t: Taxonomy, ic: ICTable, measure: SimMeasureId,
@@ -205,6 +204,6 @@ def word_similarity_detail(
     if not (rows1 and rows2):
         raise UnknownWord(word2 if rows1 else word1)
     pairs = _sense_pairs(t, rows1, rows2)
-    values = _scorer(t, ic, measure, lcs_mode)(pairs, [])
+    values = _scorer(t, ic, measure, lcs_mode, pairs, [])
     best = values.index(max(values))  # the first of equal maxima
     return values[best], (t.ids[pairs[best][0]], t.ids[pairs[best][1]])

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import sys
+import zlib
 from array import array
 from collections import Counter
 from collections.abc import Mapping
@@ -147,18 +148,27 @@ TYPECODES = tuple("d" if name in ("inv_depth_sum", "leaf_commonness") else "l"
 # newline-joined as UTF-8 (the parsers split lines on newlines, so no
 # string holds one).  The header's "sections" holds the item count of each
 # array, then the counts of ids and lemmas (the words are the rest) and the
-# byte length of the strings.  Change the format tag whenever this layout,
-# the columns or what freeze stores in them changes, so that a snapshot
-# written by another layout is rebuilt instead of served.
-SNAPSHOT_FORMAT = b"semsim-taxonomy-4"
+# byte length of the strings; its "crc32" is the zlib.crc32 of everything
+# after the header line.  Change the format tag whenever this layout, the
+# columns or what freeze stores in them changes, so that a snapshot written
+# by another layout is rebuilt instead of served.
+SNAPSHOT_FORMAT = b"semsim-taxonomy-5"
 _ITEMSIZE = {code: array(code).itemsize for code in sorted(set(TYPECODES))}
+
+
+def _fixed_header(fingerprint: str) -> dict:
+    """The header fields a snapshot must hold to be read on this machine."""
+    return {"format": SNAPSHOT_FORMAT.decode(), "fingerprint": fingerprint,
+            "byteorder": sys.byteorder, "itemsize": _ITEMSIZE}
 
 
 def _snapshot_chunks(t: Taxonomy, fingerprint: str):
     """The bytes of ``t``'s snapshot, in the order they are written."""
     strings = "\n".join(chain(t.ids, t.lemmas, t.words)).encode("utf-8")
-    header = {"format": SNAPSHOT_FORMAT.decode(), "fingerprint": fingerprint,
-              "byteorder": sys.byteorder, "itemsize": _ITEMSIZE,
+    crc = 0
+    for part in (*t.columns, strings):
+        crc = zlib.crc32(part, crc)
+    header = {**_fixed_header(fingerprint), "crc32": crc,
               "sections": [len(col) for col in t.columns]
               + [len(t.ids), len(t.lemmas), len(strings)]}
     yield json.dumps(header).encode("utf-8") + b"\n"
@@ -167,26 +177,35 @@ def _snapshot_chunks(t: Taxonomy, fingerprint: str):
 
 
 def _read_snapshot(path: str, fingerprint: str) -> Taxonomy | None:
-    """The taxonomy stored at ``path``, or None unless the file is a whole
-    snapshot in this format, under ``fingerprint``, for this machine's
-    byte order and item sizes.
+    """The taxonomy stored at ``path``, or None when the file is not a
+    whole, undamaged snapshot in this format, under ``fingerprint``, for
+    this machine's byte order and item sizes.
 
     Reading runs no code from the file: the header is JSON, the columns
     are copied into arrays of the layout's typecodes and the strings are
-    decoded text.  Raises ``OSError`` or ``ValueError`` for a file it
-    cannot read or decode, and ``ValueError`` unless the parts fit
-    together: unique ids and words, exactly one row without parents, one
-    offset per entry plus one for each CSR list, running from 0 to the
-    length of its flat list, row indexes within the node count and one
-    statistics entry per node.  So no read of the taxonomy it returns can
-    index past a column, whatever the file held.
+    decoded text.  It returns None when the header is nested too deep to
+    decode, is not a JSON object, or differs in the format tag, the
+    fingerprint, the byte order or the item sizes; when the section counts
+    are not one non-negative integer per column plus three, or their sizes
+    do not add up to the body's length; and when the body's ``zlib.crc32``
+    is not the header's ``crc32``.  Raises ``OSError`` or ``ValueError``
+    for a file it cannot read or decode, and ``ValueError`` unless the
+    parts fit together: unique ids and words, exactly one row without
+    parents, one offset per entry plus one for each CSR list, the first 0
+    and the last the length of its flat list, row indexes within the node
+    count and one statistics entry per node.  So no read of the taxonomy
+    it returns can index past a column, whatever the file held.  The
+    statistics' values are not checked: a file whose body matches its
+    checksum is served with whatever counts and depths it holds.
     """
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline())
+        try:
+            header = json.loads(fh.readline())
+        except RecursionError:  # nested deeper than the decoder goes
+            return None
         body = fh.read()
-    expected = {"format": SNAPSHOT_FORMAT.decode(), "fingerprint": fingerprint,
-                "byteorder": sys.byteorder, "itemsize": _ITEMSIZE}
-    if not isinstance(header, dict) or any(header.get(k) != v for k, v in expected.items()):
+    if not isinstance(header, dict) or any(
+            header.get(k) != v for k, v in _fixed_header(fingerprint).items()):
         return None
     sections = header.get("sections")
     n_columns = len(TYPECODES)
@@ -194,7 +213,7 @@ def _read_snapshot(path: str, fingerprint: str) -> Taxonomy | None:
             and all(type(v) is int and v >= 0 for v in sections)):
         return None
     sizes = [n * _ITEMSIZE[code] for n, code in zip(sections, TYPECODES)]
-    if sum(sizes) + sections[-1] != len(body):
+    if sum(sizes) + sections[-1] != len(body) or header.get("crc32") != zlib.crc32(body):
         return None
     columns = []
     view = memoryview(body)

@@ -50,6 +50,26 @@ class TestPearson:
             assert pearson(xs, ys) == pytest.approx(
                 float(np.corrcoef(xs, ys)[0, 1]), abs=1e-12)
 
+    def test_sums_add_left_to_right(self):
+        # from Python 3.12 the builtin sum compensates its rounding, which
+        # moves last digits; pearson adds in order on every version, as here
+        xs, ys = [0.5, 0.9, 0.2, 0.5], [9.0, 5.0, 7.0, 4.0]
+
+        def in_order(values):
+            total = 0.0
+            for v in values:
+                total += v
+            return total
+
+        def reference(add):
+            mean_x, mean_y = add(xs) / len(xs), add(ys) / len(ys)
+            dx, dy = [x - mean_x for x in xs], [y - mean_y for y in ys]
+            return add([a * b for a, b in zip(dx, dy)]) / (
+                math.sqrt(add([d * d for d in dx])) * math.sqrt(add([d * d for d in dy])))
+        assert math.fsum(xs) != in_order(xs)
+        assert reference(math.fsum) != reference(in_order)  # the inputs tell them apart
+        assert pearson(xs, ys) == reference(in_order)
+
     def test_zero_variance(self):
         with pytest.raises(ZeroVariance):
             pearson([1.0, 1.0, 1.0], [1, 2, 3])

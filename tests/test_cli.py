@@ -5,6 +5,7 @@ import os
 import pickle
 import sys
 import tempfile
+import zlib
 from array import array
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from semsim import cli, taxonomy
 from semsim.cli import main
 from semsim.ic import ICModelId, ic_table
 from semsim.similarity import SimMeasureId, word_similarity
-from semsim.taxonomy import freeze
+from semsim.taxonomy import Columns, freeze
 from semsim.wordnet import parse_edgelist
 
 from conftest import DATA, FIXTURES, raw_dags, word_indexes, write_wordnet
@@ -382,15 +383,17 @@ class TestSnapshotCache:
     def test_snapshot_cache_round_trip(self, capsys, cached):
         cache, args, out, good = cached
         header = json.loads(good[:good.index(b"\n")])
-        assert header["format"] == taxonomy.SNAPSHOT_FORMAT.decode() == "semsim-taxonomy-4"
+        assert header["format"] == taxonomy.SNAPSHOT_FORMAT.decode() == "semsim-taxonomy-5"
         assert cache.stat().st_mode & 0o777 == 0o600
         assert run(capsys, *args) == (0, out, "")
         assert cache.read_bytes() == good
         # corrupt bytes, truncated sections, payloads of the wrong type, a
-        # section count missing or negative, and counts that add up to the
-        # file's length but move an item from one column to the next
+        # header nested too deep to decode, a section count missing or
+        # negative, and counts that add up to the file's length but move an
+        # item from one column to the next
         sections = header["sections"]
         for junk in (b"corrupt", good[:len(good) // 2], good[:-1], b"[1, 2, 3]\n" + good,
+                     b"[" * 100_000 + good[good.index(b"\n"):],
                      rewrite_header(good, sections="junk"),
                      rewrite_header(good, sections=sections[:-1]),
                      rewrite_header(good, sections=[-1] + sections[1:]),
@@ -427,14 +430,37 @@ class TestSnapshotCache:
         (-1, lambda nodes: 0),     # the last parent offset: short of the flat length
     ])
     def test_columns_that_do_not_fit_are_rebuilt(self, capsys, cached, item, value):
-        # same sizes and a matching fingerprint; only the taxonomy's checks catch it
+        # same sizes, a matching fingerprint and the damaged body's checksum;
+        # only the taxonomy's checks catch it
         good, size = cached[3], array("l").itemsize
         header_end = good.index(b"\n") + 1
         sections = json.loads(good[:header_end])["sections"]
         nodes = sections[0] - 1  # parent_start has one offset per node, plus one
         at = header_end + (sections[0] + item) * size
         junk = good[:at] + array("l", [value(nodes)]).tobytes() + good[at + size:]
+        junk = rewrite_header(junk, crc32=zlib.crc32(junk[header_end:]))
         self.assert_rebuilt(capsys, cached, junk)
+
+    @pytest.mark.parametrize("column, value, command", [
+        ("subsumer_count", 0, ["sim", "--ic", "sanchez2011", "--measure", "lin", "car",
+                               "auto"]),
+        ("hypo_count", -5, ["ic", "--model", "seco", "--word", "car"]),
+        ("depth", 1_000_000, ["stats"]),
+    ])
+    def test_damaged_statistics_are_rebuilt(self, capsys, cached, column, value, command):
+        # one item at car's first sense, outside the kernels' domain; the
+        # checksum no longer matches, so the snapshot is parsed again
+        cache, args, _, good = cached
+        header_end = good.index(b"\n") + 1
+        header = json.loads(good[:header_end])
+        row = taxonomy._read_snapshot(cache, header["fingerprint"]).sense_rows("car")[0]
+        size = array("l").itemsize
+        at = header_end + (sum(header["sections"][:Columns._fields.index(column)]) + row) * size
+        cache.write_bytes(good[:at] + array("l", [value]).tobytes() + good[at + size:])
+        source = args[:2]  # --wordnet DIR
+        assert run(capsys, *source, "--cache", str(cache), *command) == \
+            run(capsys, *source, *command)
+        assert cache.read_bytes() == good
 
     @pytest.mark.parametrize("name", MISFITS)
     def test_parts_that_do_not_fit_are_rebuilt(self, capsys, cached, tmp_path, name):

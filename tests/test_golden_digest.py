@@ -8,7 +8,11 @@ GOLDEN_DIGEST and says why in the change log.
 """
 
 import hashlib
+import os
 import random
+import shutil
+import subprocess
+from pathlib import Path
 
 from semsim.bench import FULL_GRID, BenchmarkDataset, grid_report
 from semsim.errors import SemsimError
@@ -118,9 +122,34 @@ def digest_lines():
             yield " ".join(f"{p.machine!r}:{p.status}" for p in r.per_pair)
 
 
-def test_golden_digest():
+def digest() -> str:
     h = hashlib.sha256()
     for line in digest_lines():
         h.update(line.encode())
         h.update(b"\n")
-    assert h.hexdigest() == GOLDEN_DIGEST
+    return h.hexdigest()
+
+
+def test_golden_digest():
+    assert digest() == GOLDEN_DIGEST
+
+
+def test_golden_digest_on_every_interpreter():
+    # the same bytes on every supported Python: run the digest under each
+    # interpreter on PATH that starts; skip only when none does.  This module
+    # imports no pytest at its top, so the interpreters need none.
+    import pytest
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    found = {}
+    for name in ("python3.10", "python3.11", "python3.12", "python3.13"):
+        path = shutil.which(name)
+        if path and subprocess.run([path, "-c", "pass"], capture_output=True,
+                                   timeout=60).returncode == 0:
+            run = subprocess.run(
+                [path, "-B", "-c", "import test_golden_digest as g; print(g.digest())"],
+                env=env, capture_output=True, text=True, timeout=300)
+            found[name] = (run.stdout + run.stderr).strip()
+    if not found:
+        pytest.skip("none of python3.10 ... python3.13 starts")
+    assert found == dict.fromkeys(found, GOLDEN_DIGEST)

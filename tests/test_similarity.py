@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semsim.bench import BenchmarkDataset, evaluate
-from semsim.errors import BatetUndefined, DegenerateTable, UnboundedIC, UnknownWord
+from semsim.errors import (BatetUndefined, DegenerateTable, UnboundedIC, UnknownSynset,
+                           UnknownWord)
 from semsim.ic import ICConfig, ICModelId, ICTable, ic_table
 from semsim.similarity import (SimMeasureId, dcs, pair_similarity, word_similarity,
                                word_similarity_detail)
@@ -68,6 +69,16 @@ class TestLcs:
                 word_similarity(chain, chain_ic, measure, "a", "b", "bogus")
             with pytest.raises(ValueError, match="lcs_mode"):
                 evaluate(chain, dataset, chain_ic, measure, "bogus")
+
+    def test_unknown_input_comes_before_the_checks(self, chain):
+        # an id or word that is not there is named first, on the pair path as
+        # on the word path, whatever the table and the LCS rule
+        qingbo = ic_table(chain, ICModelId.QINGBO)
+        for mode in ("max_depth", "bogus"):
+            with pytest.raises(UnknownSynset):
+                pair_similarity(chain, qingbo, PROPOSED, "ghost", "a", mode)
+            with pytest.raises(UnknownWord):
+                word_similarity(chain, qingbo, PROPOSED, "ghost", "a", mode)
 
 
 class TestDcs:

@@ -110,12 +110,12 @@ def test_snapshot_format_pins_the_column_layout():
     t = freeze(RawGraph(parents={"r": [], "a": ["r"]}))
     header = json.loads(next(taxonomy._snapshot_chunks(t, "fingerprint")))
     assert (taxonomy.SNAPSHOT_FORMAT, Columns._fields, TYPECODES, set(header)) == (
-        b"semsim-taxonomy-4",
+        b"semsim-taxonomy-5",
         ("parent_start", "parent_rows", "lemma_start", "sense_start", "sense_rows",
          "depth", "depth_longest", "hypo_count", "leaf_count", "subsumer_count", "nmih",
          "inv_depth_sum", "leaf_commonness"),
         ("l",) * 11 + ("d", "d"),
-        {"format", "fingerprint", "byteorder", "itemsize", "sections"})
+        {"format", "fingerprint", "byteorder", "itemsize", "crc32", "sections"})
 
 
 def test_only_taxonomy_knows_the_column_layout():
