@@ -9,19 +9,17 @@ error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import json
 import math
 import os
 import sys
-import tempfile
 
 from . import bench
 from .errors import SemsimError
 from .ic import ICConfig, ICModelId, ic_table
 from .similarity import SimMeasureId, dcs as dcs_of_pair, word_similarity_detail
-from .taxonomy import Taxonomy, _read_snapshot, _snapshot_chunks, freeze
+from .taxonomy import Taxonomy, _read_snapshot, _write_snapshot, freeze
 from .wordnet import default_wordnet_dir, parse_edgelist, parse_wordnet
 
 
@@ -149,14 +147,14 @@ def load_taxonomy(args) -> Taxonomy:
         # A missing, damaged, foreign or stale snapshot is a cache miss.
         try:
             fingerprint = _source_fingerprint(sources, args.depth_mode)
-            cached = _read_snapshot(args.cache, fingerprint)
-        except (OSError, ValueError):
-            cached = None
+        except OSError:  # a source it cannot read, left for parse_wordnet to name
+            pass
+        cached = fingerprint and _read_snapshot(args.cache, fingerprint)
         if cached is not None:
             return cached
     raw, word_index = parse_wordnet(wn_dir)
     taxonomy = freeze(raw, depth_mode=args.depth_mode, word_index=word_index)
-    if args.cache and fingerprint is not None:
+    if fingerprint is not None:
         _write_snapshot(args.cache, taxonomy, fingerprint)
     return taxonomy
 
@@ -166,31 +164,6 @@ def _same_file(path: str, other: str) -> bool:
         return os.path.samefile(path, other)
     except OSError:  # either one is missing
         return False
-
-
-def _write_snapshot(path: str, t: Taxonomy, fingerprint: str) -> None:
-    """Replace the snapshot at ``path`` in one step, or leave it as it was.
-
-    The snapshot goes to a temporary file beside it, created with mode
-    0600, which ``os.replace`` then renames over ``path``, so readers
-    never see a partial snapshot.  Writing is best effort: an ``OSError``
-    leaves the old file in place.
-    """
-    try:
-        fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
-                                   dir=os.path.dirname(os.path.abspath(path)))
-    except OSError:
-        return
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            for chunk in _snapshot_chunks(t, fingerprint):
-                fh.write(chunk)
-        os.replace(tmp, path)
-    except OSError:
-        pass  # the snapshot is only a cache
-    finally:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)  # already gone after a successful replace
 
 
 def _json_report(obj: dict) -> str:
@@ -206,15 +179,12 @@ def _emit_json(obj: dict) -> None:
 
 def cmd_stats(args) -> int:
     t = load_taxonomy(args)
-    c = t.constants
+    stats = {"root": t.root, **vars(t.constants)}
     if args.format == "json":
-        _emit_json({"root": t.root, "node_max": c.node_max, "deep_max": c.deep_max,
-                    "leaves_max": c.leaves_max})
+        _emit_json(stats)
     else:
-        print(f"root: {t.root}")
-        print(f"node_max: {c.node_max}")
-        print(f"deep_max: {c.deep_max}")
-        print(f"leaves_max: {c.leaves_max}")
+        for key, value in stats.items():
+            print(f"{key}: {value}")
     return 0
 
 

@@ -24,6 +24,10 @@ class CycleDetected(SemsimError):
         super().__init__("hypernym cycle: " + " -> ".join(self.cycle))
 
 
+class DamagedTaxonomy(SemsimError):
+    """Raised when a walk of a taxonomy's parents finds a cycle or a second root."""
+
+
 class _MissingKey(SemsimError, KeyError):
     """A KeyError whose str() is its plain message, not the message's repr."""
 

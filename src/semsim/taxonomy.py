@@ -30,8 +30,11 @@ from then on, and :meth:`Taxonomy.sense_rows` keeps its rows alike.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import sys
+import tempfile
 import zlib
 from array import array
 from collections import Counter
@@ -40,7 +43,8 @@ from dataclasses import dataclass, field, fields
 from itertools import accumulate, chain
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import CycleDetected, EmptyGraph, PinnedRootHasParents, UnknownSynset
+from .errors import (CycleDetected, DamagedTaxonomy, EmptyGraph, PinnedRootHasParents,
+                     UnknownSynset)
 
 # Synset ids are opaque strings with a total lexicographic order.  WordNet
 # ids look like "02958343-n"; toy ontologies use the node label itself.
@@ -162,8 +166,14 @@ def _fixed_header(fingerprint: str) -> dict:
             "byteorder": sys.byteorder, "itemsize": _ITEMSIZE}
 
 
-def _snapshot_chunks(t: Taxonomy, fingerprint: str):
-    """The bytes of ``t``'s snapshot, in the order they are written."""
+def _write_snapshot(path: str, t: Taxonomy, fingerprint: str) -> None:
+    """Replace the snapshot at ``path`` in one step, or leave it as it was.
+
+    The snapshot goes to a temporary file beside it, created with mode
+    0600, which ``os.replace`` then renames over ``path``, so readers
+    never see a partial snapshot.  Writing is best effort: an ``OSError``
+    leaves the old file in place.
+    """
     strings = "\n".join(chain(t.ids, t.lemmas, t.words)).encode("utf-8")
     crc = 0
     for part in (*t.columns, strings):
@@ -171,39 +181,46 @@ def _snapshot_chunks(t: Taxonomy, fingerprint: str):
     header = {**_fixed_header(fingerprint), "crc32": crc,
               "sections": [len(col) for col in t.columns]
               + [len(t.ids), len(t.lemmas), len(strings)]}
-    yield json.dumps(header).encode("utf-8") + b"\n"
-    yield from t.columns
-    yield strings
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
+                                   dir=os.path.dirname(os.path.abspath(path)))
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.writelines((json.dumps(header).encode("utf-8") + b"\n", *t.columns, strings))
+            os.replace(tmp, path)
+        finally:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)  # already gone after a successful replace
+    except OSError:
+        pass  # the snapshot is only a cache
 
 
 def _read_snapshot(path: str, fingerprint: str) -> Taxonomy | None:
-    """The taxonomy stored at ``path``, or None when the file is not a
+    """The taxonomy stored at ``path``, or None for any file that is not a
     whole, undamaged snapshot in this format, under ``fingerprint``, for
     this machine's byte order and item sizes.
 
     Reading runs no code from the file: the header is JSON, the columns
     are copied into arrays of the layout's typecodes and the strings are
-    decoded text.  It returns None when the header is nested too deep to
-    decode, is not a JSON object, or differs in the format tag, the
-    fingerprint, the byte order or the item sizes; when the section counts
-    are not one non-negative integer per column plus three, or their sizes
-    do not add up to the body's length; and when the body's ``zlib.crc32``
-    is not the header's ``crc32``.  Raises ``OSError`` or ``ValueError``
-    for a file it cannot read or decode, and ``ValueError`` unless the
-    parts fit together: unique ids and words, exactly one row without
-    parents, one offset per entry plus one for each CSR list, the first 0
-    and the last the length of its flat list, row indexes within the node
-    count and one statistics entry per node.  So no read of the taxonomy
-    it returns can index past a column, whatever the file held.  The
-    statistics' values are not checked: a file whose body matches its
-    checksum is served with whatever counts and depths it holds.
+    decoded text.  None means one of: the file cannot be opened or read;
+    the header is not JSON, too deep to decode or not an object, or its
+    format tag, fingerprint, byte order or item sizes differ; the section
+    counts are not one non-negative integer per column plus three, or do
+    not add up to the body's length; the body's ``zlib.crc32`` is not the
+    header's ``crc32``; the strings are not UTF-8; or the parts do not
+    fit: an id or a word repeats, not exactly one row is without parents,
+    a CSR list has not one offset per entry plus one, from 0 to the length
+    of its flat list, a row index is past the node count, or a statistics
+    column has not one entry per node.  So no read of the taxonomy it
+    returns can index past a column.  The statistics' values are not
+    checked; :meth:`Taxonomy.subsumer_rows` finds a cycle or a second root.
     """
-    with open(path, "rb") as fh:
-        try:
+    try:
+        with open(path, "rb") as fh:
             header = json.loads(fh.readline())
-        except RecursionError:  # nested deeper than the decoder goes
-            return None
-        body = fh.read()
+            body = fh.read()
+    except (OSError, ValueError, RecursionError):  # unreadable, not JSON or too deep
+        return None
     if not isinstance(header, dict) or any(
             header.get(k) != v for k, v in _fixed_header(fingerprint).items()):
         return None
@@ -224,7 +241,10 @@ def _read_snapshot(path: str, fingerprint: str) -> Taxonomy | None:
         columns.append(col)
         pos += size
     c = Columns(*columns)
-    strings = str(view[pos:], "utf-8").split("\n")
+    try:
+        strings = str(view[pos:], "utf-8").split("\n")
+    except UnicodeDecodeError:
+        return None
     n_ids, n_lemmas = sections[n_columns:n_columns + 2]
     ids, lemmas, words = (tuple(strings[:n_ids]), tuple(strings[n_ids:n_ids + n_lemmas]),
                           tuple(strings[n_ids + n_lemmas:]))
@@ -233,17 +253,17 @@ def _read_snapshot(path: str, fingerprint: str) -> Taxonomy | None:
              (c.sense_start, len(c.sense_rows), len(words)))
     for start, total, entries in lists:
         if len(start) != entries + 1 or start[0] != 0 or start[-1] != total:
-            raise ValueError("CSR counts do not sum to the length of their flat list")
+            return None  # CSR counts do not sum to the length of their flat list
     for rows in (c.parent_rows, c.sense_rows):
         if rows and not (min(rows) >= 0 and max(rows) < n):
-            raise ValueError("row index out of range")
+            return None  # a row index out of range
     if any(len(getattr(c, name)) != n for name in STAT_FIELDS):
-        raise ValueError("a statistics column does not have one entry per node")
+        return None  # a statistics column does not have one entry per node
     if c.nmih.count(0) != 1:
-        raise ValueError("not exactly one row without parents")
+        return None  # not exactly one row without parents
     t = Taxonomy(ids, dict(zip(ids, range(n))), lemmas, words, c)
     if len(t.row) != n or len(t._word_row) != len(words):
-        raise ValueError("node ids and words must be unique")
+        return None  # node ids or words repeat
     return t
 
 
@@ -343,7 +363,9 @@ class Taxonomy:
         """Ancestor rows of a row, the row itself included, kept once built.
 
         A set is the union of the parents' sets and the row, built parents
-        first, so that the kept sets share their int objects.
+        first, so that the kept sets share their int objects.  A parent
+        cycle (over a DAG the walk pushes each parent link at most once) or
+        a parentless row besides the root raises ``DamagedTaxonomy``.
         """
         cache = self._subsumer_cache
         found = cache.get(row)
@@ -357,6 +379,10 @@ class Taxonomy:
             todo = [p for p in ps if p not in cache]
             if todo:
                 stack += todo
+                if len(stack) > len(parents) + 1:
+                    raise DamagedTaxonomy(f"{self.ids[row]} reaches a parent cycle")
+            elif not ps and self.ids[r] != self.root:
+                raise DamagedTaxonomy(f"{self.ids[r]} has no parents but is not the root")
             else:
                 cache[stack.pop()] = frozenset([r]).union(*[cache[p] for p in ps])
         return cache[row]

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through main(argv)."""
 
+import io
 import json
 import os
 import pickle
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semsim import cli, taxonomy
+from semsim import taxonomy
 from semsim.cli import main
 from semsim.ic import ICModelId, ic_table
 from semsim.similarity import SimMeasureId, word_similarity
@@ -405,7 +406,7 @@ class TestSnapshotCache:
         cache, args, parsed, good = cached
         header = json.loads(good[:good.index(b"\n")])
         chain = freeze(parse_edgelist(FIXTURES / "chain.tsv"))
-        cache.write_bytes(b"".join(taxonomy._snapshot_chunks(chain, header["fingerprint"])))
+        taxonomy._write_snapshot(str(cache), chain, header["fingerprint"])
         _, served, _ = run(capsys, *args)
         assert served != parsed  # a matching fingerprint is served as stored
         monkeypatch.setattr(taxonomy, "SNAPSHOT_FORMAT", b"another layout")
@@ -462,6 +463,29 @@ class TestSnapshotCache:
             run(capsys, *source, *command)
         assert cache.read_bytes() == good
 
+    @pytest.mark.parametrize("column, item, value, message", [
+        ("parent_rows", lambda c, r: c.parent_start[r], lambda c, r: r,
+         "reaches a parent cycle"),  # the first parent of the row is the row itself
+        ("parent_start", lambda c, r: r + 1, lambda c, r: c.parent_start[r],
+         "has no parents but is not the root"),  # while nmih still counts one
+    ], ids=["parent cycle", "second root"])
+    def test_crafted_parents_end_in_one_line(self, capsys, cached, column, item, value,
+                                             message):
+        # the damaged body's checksum is in the header, so the snapshot is
+        # served, and the subsumer walk reports the parents it cannot use
+        cache, args, _, good = cached
+        header_end = good.index(b"\n") + 1
+        header = json.loads(good[:header_end])
+        served = taxonomy._read_snapshot(cache, header["fingerprint"])
+        row, c = served.sense_rows("car")[0], served.columns
+        size = array("l").itemsize
+        at = header_end + (sum(header["sections"][:Columns._fields.index(column)])
+                           + item(c, row)) * size
+        junk = good[:at] + array("l", [value(c, row)]).tobytes() + good[at + size:]
+        cache.write_bytes(rewrite_header(junk, crc32=zlib.crc32(junk[header_end:])))
+        assert run(capsys, *args[:-1], "sim", "--ic", "seco", "--measure", "lin", "car",
+                   "truck") == (1, "", f"semsim: {served.ids[row]} {message}\n")
+
     @pytest.mark.parametrize("name", MISFITS)
     def test_parts_that_do_not_fit_are_rebuilt(self, capsys, cached, tmp_path, name):
         # written by the snapshot writer under the sources' fingerprint
@@ -486,10 +510,15 @@ class TestSnapshotCache:
         earlier = cache.read_bytes()
         _, parsed, _ = run(capsys, "--wordnet", wordnet_db, "stats")
 
-        def full_disk(t, fingerprint):
-            yield b"half a snapshot"
-            raise OSError(28, "No space left on device")
-        monkeypatch.setattr(cli, "_snapshot_chunks", full_disk)
+        class FullDisk(io.FileIO):  # the header goes out, then the disk is full
+            writes = 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 2:
+                    raise OSError(28, "No space left on device")
+                return super().write(data)
+        monkeypatch.setattr(os, "fdopen", FullDisk)
         assert run(capsys, *args) == (0, parsed, "")
         assert cache.read_bytes() == earlier
         assert sorted(p.name for p in tmp_path.iterdir()) == ["wn.snapshot", "wordnet"]
@@ -498,6 +527,25 @@ class TestSnapshotCache:
         assert run(capsys, *args) == (0, parsed, "")
         assert cache.read_bytes() != earlier
         assert sorted(p.name for p in tmp_path.iterdir()) == ["wn.snapshot", "wordnet"]
+
+    def test_missing_source_leaves_the_cache_unused(self, capsys, wordnet_db, tmp_path):
+        data = Path(wordnet_db) / "data.noun"
+        data.unlink()
+        cache = tmp_path / "wn.snapshot"
+        assert run(capsys, "--wordnet", wordnet_db, "--cache", str(cache), "stats") == (
+            1, "", f"semsim: required WordNet file not found: {data}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["wordnet"]
+
+    def test_cache_naming_a_directory_is_not_used(self, capsys, wordnet_db, tmp_path):
+        cache = tmp_path / "snapshots"
+        cache.mkdir()
+        uncached = run(capsys, "--wordnet", wordnet_db, "stats")
+        assert uncached[0] == 0
+        for _ in range(2):
+            assert run(capsys, "--wordnet", wordnet_db, "--cache", str(cache), "stats") == \
+                uncached
+        assert list(cache.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["snapshots", "wordnet"]
 
     @pytest.mark.parametrize("name", ["data.noun", "index.noun"])
     def test_cache_naming_a_source_exits_2(self, capsys, wordnet_db, tmp_path, name):
@@ -526,7 +574,7 @@ class TestSnapshotFormat:
         t = freeze(raw, depth_mode=depth_mode, word_index=index)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "snapshot")
-            cli._write_snapshot(path, t, "fingerprint")
+            taxonomy._write_snapshot(path, t, "fingerprint")
             back = taxonomy._read_snapshot(path, "fingerprint")
         assert (back.root, back.constants) == (t.root, t.constants)
         for view in ("nodes", "stats", "word_index"):

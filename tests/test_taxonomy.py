@@ -7,9 +7,9 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semsim.errors import CycleDetected, EmptyGraph, UnknownSynset
+from semsim.errors import CycleDetected, DamagedTaxonomy, EmptyGraph, UnknownSynset
 from semsim.taxonomy import (RawGraph, SYNTHETIC_ROOT, Taxonomy, TaxonomyConstants,
-                             _read_snapshot, _snapshot_chunks, freeze)
+                             _read_snapshot, _write_snapshot, freeze)
 
 from conftest import brute_closure, build, children_of, random_taxonomy, raw_dags
 
@@ -336,7 +336,7 @@ MISFITS = {
 
 def write_parts(path, parts, fingerprint):
     """Write ``parts`` to ``path`` with the snapshot writer."""
-    path.write_bytes(b"".join(_snapshot_chunks(SimpleNamespace(**parts), fingerprint)))
+    _write_snapshot(str(path), SimpleNamespace(**parts), fingerprint)
 
 
 class TestColumns:
@@ -352,5 +352,18 @@ class TestColumns:
         write_parts(path, toy_parts(), "fingerprint")
         assert _read_snapshot(path, "fingerprint").senses("y") == ("b", "r")
         write_parts(path, MISFITS[name](toy_parts()), "fingerprint")
-        with pytest.raises(ValueError):
-            _read_snapshot(path, "fingerprint")
+        assert _read_snapshot(path, "fingerprint") is None
+
+    @pytest.mark.parametrize("change, messages", [
+        (with_column("parent_rows", 1, 1, 0),  # a's parent is a itself
+         {"a": "a reaches a parent cycle", "b": "b reaches a parent cycle"}),
+        (lambda p: with_column("parent_rows", 1, 0)(with_column("parent_start", 0, 0, 0, 2)(p)),
+         {node: "a has no parents but is not the root" for node in ("a", "b")}),
+    ], ids=["parent cycle", "second root"])
+    def test_walk_over_damaged_parents_raises(self, change, messages):
+        # parts a crafted snapshot can hold: the reader does not check that
+        # the parents form a DAG with one root, the subsumer walk does
+        t = Taxonomy(**change(toy_parts()))
+        for node, message in messages.items():
+            with pytest.raises(DamagedTaxonomy, match=f"^{message}$"):
+                t.subsumer_rows(t.row[node])

@@ -102,13 +102,15 @@ def test_one_function_scores_sense_pairs():
     assert uses == ["similarity.py:_scorer"]
 
 
-def test_snapshot_format_pins_the_column_layout():
+def test_snapshot_format_pins_the_column_layout(tmp_path):
     # a snapshot stores the columns in this order with these typecodes,
     # under a header with these keys, and is served whenever its format tag
     # matches; so a layout change must come with a new SNAPSHOT_FORMAT, and
     # with it a new pin here
-    t = freeze(RawGraph(parents={"r": [], "a": ["r"]}))
-    header = json.loads(next(taxonomy._snapshot_chunks(t, "fingerprint")))
+    path = tmp_path / "snapshot"
+    taxonomy._write_snapshot(str(path), freeze(RawGraph(parents={"r": [], "a": ["r"]})),
+                             "fingerprint")
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
     assert (taxonomy.SNAPSHOT_FORMAT, Columns._fields, TYPECODES, set(header)) == (
         b"semsim-taxonomy-5",
         ("parent_start", "parent_rows", "lemma_start", "sense_start", "sense_rows",
