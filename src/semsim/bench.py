@@ -1,8 +1,9 @@
 """Benchmark loading, Pearson correlation and evaluation grids.
 
 Machine scores are those of :func:`semsim.similarity.word_similarity`:
-one pair plan per dataset lists its sense pairs once, and every table and
-measure scores that list in one call of the word path's own scorer.
+one pair plan per dataset lists its sense pairs once, and every combo
+scores that list in one call of the word path's scorer, through a memo
+the plan keeps, so each table's ICs are read once per LCS rule.
 Pairs whose words have no noun sense are marked skipped and excluded from
 the correlation (they are never zero-filled).
 Reported correlations are rounded to two decimals, with the raw value
@@ -18,7 +19,7 @@ from pathlib import Path
 from .errors import (AllPairsSkipped, EmptyDataset, LengthMismatch, MalformedRow,
                      MissingFile, NonFiniteScore, ZeroVariance)
 from .ic import ICConfig, ICModelId, ICTable, ic_table
-from .similarity import SimMeasureId, _scorer, _sense_pairs
+from .similarity import SimMeasureId, _measure, _scorer, _sense_pairs
 from .taxonomy import Taxonomy
 from .wordnet import utf8_lines
 
@@ -146,12 +147,12 @@ class _PairPlan:
     """The taxonomy-only work of scoring a dataset, shared by every combo:
     ``pairs`` lists each dataset pair's sense pairs as ``_sense_pairs``
     lists them, ``spans`` holds per dataset pair the range of its own, or
-    ``None`` when a word has no noun sense, and ``dcs`` keeps their DCS
-    rows once the proposed measure has computed them."""
+    ``None`` when a word has no noun sense, and ``memo`` is the scorer's
+    memo for ``pairs``: their DCS rows and per table and rule their ICs."""
 
     def __init__(self, t: Taxonomy, dataset: BenchmarkDataset):
         self.t, self.dataset = t, dataset
-        self.spans, self.pairs, self.dcs = [], [], []
+        self.spans, self.pairs, self.memo = [], [], {}
         for w1, w2, _ in dataset.pairs:
             rows1, rows2 = t.sense_rows(w1), t.sense_rows(w2)
             if not (rows1 and rows2):
@@ -164,7 +165,8 @@ class _PairPlan:
         dataset = self.dataset
         if not any(self.spans):
             raise AllPairsSkipped(f"no scorable pairs in {dataset.name}")
-        values = _scorer(self.t, table, measure, lcs_mode, self.pairs, self.dcs)
+        measure = _measure(measure)
+        values = _scorer(self.t, table, measure, lcs_mode, self.pairs, self.memo)
         per_pair: list[PairScore] = []
         machine: list[float] = []
         human: list[float] = []
@@ -190,7 +192,7 @@ def evaluate(t: Taxonomy, dataset: BenchmarkDataset, table: ICTable,
     pairs and its ``model`` names the result.  ``AllPairsSkipped`` comes
     before any check on the table, measure or LCS rule.
     """
-    return _PairPlan(t, dataset).score(table, SimMeasureId(measure), lcs_mode)
+    return _PairPlan(t, dataset).score(table, measure, lcs_mode)
 
 
 # Correlations quoted from the literature for report context.  These are
@@ -258,8 +260,8 @@ class GridReport:
 def grid_report(t: Taxonomy, dataset: BenchmarkDataset, combos,
                 cfg: ICConfig = ICConfig(), lcs_mode: str = "max_depth",
                 with_literature: bool = False) -> GridReport:
-    """Run a list of (ic_model, measure) combos over one dataset, sharing
-    one pair plan and one table per model among them."""
+    """Run a list of (ic_model, measure) combos over one dataset, sharing one
+    pair plan and one table per model; every combo's names are checked first."""
     combos = [(ICModelId(m), SimMeasureId(s)) for m, s in combos]
     if not combos:
         raise ValueError("combo list is empty")

@@ -104,7 +104,9 @@ class ICTable:
     the order the values were first read; each access builds it anew.
     ``max_ic`` is ``full_max()``, by default one kernel pass over every
     row, which stores no value; of the measures only batet reads it.
-    :func:`ic_table` passes the taxonomy's memo.
+    :func:`ic_table` passes the taxonomy's memo.  ``formulas`` keeps, per
+    measure, the scoring function that passed the measure's checks on this
+    table; a failed check stores nothing.
     """
 
     def __init__(self, model: ICModelId, taxonomy: Taxonomy, kernel: Kernel,
@@ -114,6 +116,7 @@ class ICTable:
         self.normalized = normalized
         self.config = config
         self.by_row = _Memo(kernel)
+        self.formulas: dict = {}
         self._taxonomy = taxonomy
         self._full_max = full_max or (lambda: max(map(kernel, range(len(taxonomy)))))
         self._max_ic: float | None = None

@@ -8,12 +8,12 @@ There is one sense-pair path, over taxonomy rows: ``_sense_pairs`` lists
 a word pair's sense pairs in sense order, each with its common-subsumer
 rows and its LCS candidates, and one call of ``_scorer`` returns the
 values of such a list, through ``_formula``, which holds the measures and
-their checks.  ``word_similarity_detail``, ``pair_similarity`` and the
-dataset scoring in :mod:`semsim.bench` all call these two, each once;
-ids appear only at the API edge.  Five measures are closed forms of
-IC(a), IC(b) and the IC of the least common subsumer (LCS); only
-``proposed`` needs the disjoint common subsumers (DCS).  Two conventions
-deserve a note:
+their checks.  Five measures are closed forms of IC(a), IC(b) and the IC
+of the least common subsumer (LCS); only ``proposed`` needs the disjoint
+common subsumers (DCS).  The scorer's memo for a list keeps its DCS rows
+and, per table and LCS rule, its IC(a), IC(b) and IC(LCS) lists; a word
+call's memo is its own, and a pair plan in :mod:`semsim.bench` keeps one
+for every combo.  Ids appear only at the API edge.  Two conventions:
 
 * The LCS rule picks one IC from the pair's common-subsumer set, which is
   never empty because the root subsumes every node.  ``"max_depth"``
@@ -53,6 +53,14 @@ class SimMeasureId(str, Enum):
 
 
 _LCS_MODES = ("max_depth", "max_ic")
+_MEASURE_OF = {m.value: m for m in SimMeasureId}  # a member hashes and compares as its value
+
+
+def _measure(measure) -> SimMeasureId:  # SimMeasureId(measure) in one lookup
+    try:
+        return _MEASURE_OF[measure]
+    except (KeyError, TypeError):
+        return SimMeasureId(measure)
 
 
 def _dcs_rows(t: Taxonomy, common: frozenset[int]) -> tuple[int, ...]:
@@ -87,17 +95,13 @@ _FORMULAS: dict[SimMeasureId, Callable[[float, float, float], float]] = {
 }
 
 
-def _formula(ic: ICTable, measure: SimMeasureId, lcs_mode: str) -> Callable:
+def _formula(ic: ICTable, measure: SimMeasureId) -> Callable:
     """The measure as a function of IC(a), IC(b) and IC(lcs), with its checks
-    done; for proposed, of IC(a), IC(b) and the IC of each DCS member.
-
-    Raises ``ValueError`` for an unknown LCS rule, ``UnboundedIC`` for the
-    proposed measure on an unbounded table and ``DegenerateTable`` for
-    batet on a table whose maximum is 0.  Batet itself raises
-    ``BatetUndefined`` where IC(LCS) > (IC(a) + IC(b) + 1) / 2.
+    on the table done; for proposed, of IC(a), IC(b) and the IC of each DCS
+    member.  Raises ``UnboundedIC`` for the proposed measure on an unbounded
+    table and ``DegenerateTable`` for batet on a table whose maximum is 0.
+    Batet itself raises ``BatetUndefined`` where IC(LCS) > (IC(a) + IC(b) + 1) / 2.
     """
-    if lcs_mode not in _LCS_MODES:
-        raise ValueError(f"lcs_mode must be 'max_depth' or 'max_ic', got {lcs_mode!r}")
     formula = _FORMULAS.get(measure)
     if formula is not None:
         return formula
@@ -150,28 +154,39 @@ def _sense_pairs(t: Taxonomy, rows1, rows2) -> list[tuple]:
 
 
 def _scorer(t: Taxonomy, ic: ICTable, measure: SimMeasureId, lcs_mode: str,
-            pairs: list[tuple], dcs_rows: list) -> list[float]:
-    """The measure's value on each of a list of :func:`_sense_pairs`, in
-    order, with the checks of :func:`_formula` done first.  ``dcs_rows``
-    holds the pairs' DCS rows; proposed fills it when it is empty, so a
-    caller that keeps it computes each DCS once."""
-    formula = _formula(ic, measure, lcs_mode)
+            pairs: list[tuple], memo: dict) -> list[float]:
+    """The measure on each of a list of :func:`_sense_pairs`, in order, after
+    the checks; ``ic`` keeps :func:`_formula`'s result and ``memo`` the pairs'
+    DCS rows (``"dcs"``) and IC(a), IC(b), IC(LCS) lists (``(ic, lcs_mode)``)."""
+    if lcs_mode not in _LCS_MODES:
+        raise ValueError(f"lcs_mode must be 'max_depth' or 'max_ic', got {lcs_mode!r}")
+    formula = ic.formulas.get(measure) or ic.formulas.setdefault(measure, _formula(ic, measure))
     by_row = ic.by_row
     ic_of = by_row.__getitem__
     if measure is SimMeasureId.PROPOSED:
-        if not dcs_rows:
-            dcs_rows += [_dcs_rows(t, common) for _, _, common, _ in pairs]
+        if "dcs" not in memo:
+            memo["dcs"] = [_dcs_rows(t, common) for _, _, common, _ in pairs]
         return [formula(by_row[a], by_row[b], list(map(ic_of, members)))
-                for (a, b, _, _), members in zip(pairs, dcs_rows)]
-    by_depth = lcs_mode == "max_depth"
-    values = []
+                for (a, b, _, _), members in zip(pairs, memo["dcs"])]
+    key = ic, lcs_mode
+    triples = memo.get(key)
+    if triples is None:
+        ia, ib, il = triples = memo[key] = [], [], []
+        by_depth = lcs_mode == "max_depth"
+        for a, b, common, candidates in pairs:  # reads a, b, then the LCS candidates
+            ia.append(by_row[a])
+            ib.append(by_row[b])
+            il.append(max(map(ic_of, candidates if by_depth else common)))
     try:
-        for a, b, common, candidates in pairs:
-            values.append(formula(by_row[a], by_row[b],
-                                  max(map(ic_of, candidates if by_depth else common))))
-    except BatetUndefined as exc:
-        raise BatetUndefined(f"batet is undefined for {t.ids[a]} x {t.ids[b]}: {exc}") from None
-    return values
+        return list(map(formula, *triples))
+    except BatetUndefined:
+        for (a, b, _, _), *ics in zip(pairs, *triples):  # name the first pair that fails
+            try:
+                formula(*ics)
+            except BatetUndefined as exc:
+                raise BatetUndefined(f"batet is undefined for {t.ids[a]} x {t.ids[b]}: {exc}"
+                                     ) from None
+        raise
 
 
 def pair_similarity(t: Taxonomy, ic: ICTable, measure: SimMeasureId,
@@ -179,15 +194,25 @@ def pair_similarity(t: Taxonomy, ic: ICTable, measure: SimMeasureId,
     """The measure on one sense pair, under the LCS rule ``lcs_mode``.
     As with words, an unknown id (``UnknownSynset``) comes before the
     checks on the table and the LCS rule."""
-    measure = SimMeasureId(measure)
+    measure = _measure(measure)
     pairs = _sense_pairs(t, (t._row_of(a),), (t._row_of(b),))
-    return _scorer(t, ic, measure, lcs_mode, pairs, [])[0]
+    return _scorer(t, ic, measure, lcs_mode, pairs, {})[0]
+
+
+def _word_scores(t: Taxonomy, ic: ICTable, measure, word1: str, word2: str, lcs_mode: str):
+    """The sense pairs of two words and the measure on each."""
+    measure = _measure(measure)
+    rows1, rows2 = t.sense_rows(word1), t.sense_rows(word2)
+    if not (rows1 and rows2):
+        raise UnknownWord(word2 if rows1 else word1)
+    pairs = _sense_pairs(t, rows1, rows2)
+    return pairs, _scorer(t, ic, measure, lcs_mode, pairs, {})
 
 
 def word_similarity(t: Taxonomy, ic: ICTable, measure: SimMeasureId,
                     word1: str, word2: str, lcs_mode: str = "max_depth") -> float:
     """Maximum of the measure over the cross product of the words' senses."""
-    return word_similarity_detail(t, ic, measure, word1, word2, lcs_mode)[0]
+    return max(_word_scores(t, ic, measure, word1, word2, lcs_mode)[1])
 
 
 def word_similarity_detail(
@@ -199,11 +224,6 @@ def word_similarity_detail(
     Ties keep the earliest pair in sense order, so results do not depend
     on dictionary hash order.
     """
-    measure = SimMeasureId(measure)
-    rows1, rows2 = t.sense_rows(word1), t.sense_rows(word2)
-    if not (rows1 and rows2):
-        raise UnknownWord(word2 if rows1 else word1)
-    pairs = _sense_pairs(t, rows1, rows2)
-    values = _scorer(t, ic, measure, lcs_mode, pairs, [])
+    pairs, values = _word_scores(t, ic, measure, word1, word2, lcs_mode)
     best = values.index(max(values))  # the first of equal maxima
     return values[best], (t.ids[pairs[best][0]], t.ids[pairs[best][1]])

@@ -1,5 +1,6 @@
 """Dataset loading, correlation and evaluation harness."""
 
+import itertools
 import json
 import math
 import random
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semsim.bench import (FULL_GRID, BenchmarkDataset, evaluate, grid_report,
+from semsim.bench import (FULL_GRID, BenchmarkDataset, _PairPlan, evaluate, grid_report,
                           load_dataset, pearson)
 from semsim.errors import (AllPairsSkipped, BatetUndefined, DegenerateTable, EmptyDataset,
                            LengthMismatch, MalformedLine, MalformedRow, MissingFile,
@@ -17,8 +18,9 @@ from semsim.errors import (AllPairsSkipped, BatetUndefined, DegenerateTable, Emp
 from semsim.ic import ICConfig, ICModelId, ic_table
 from semsim.similarity import SimMeasureId, word_similarity, word_similarity_detail
 from semsim.taxonomy import RawGraph, freeze
+from semsim.wordnet import parse_edgelist
 
-from conftest import DATA, brute_closure, raw_dags, word_indexes
+from conftest import DATA, FIXTURES, brute_closure, raw_dags, word_indexes
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -262,7 +264,58 @@ class TestGrid:
             with pytest.raises(bogus_error):
                 evaluate(t, ds, table, SimMeasureId.LIN, "bogus")
             with pytest.raises(bogus_error):
+                evaluate(t, ds, table, "bogus")
+            with pytest.raises(bogus_error):
                 grid_report(t, ds, [(ICModelId.SECO, SimMeasureId.LIN)], lcs_mode="bogus")
+
+
+class TestPairPlan:
+    @pytest.fixture
+    def domain(self):
+        # meng is not monotone here: under max_ic, n05 x n05 has another LCS
+        # than under max_depth, and one outside batet's domain
+        t = freeze(parse_edgelist(FIXTURES / "batet_domain.tsv"))
+        return t, toy_dataset([("n01", "n02", 1.0), ("n05", "n05", 4.0),
+                               ("n03", "n04", 2.0), ("n04", "n07", 3.0)])
+
+    def test_one_memo_serves_every_table_and_lcs_rule(self, domain):
+        # the plan keeps IC(a), IC(b) and IC(LCS) per table and LCS rule, so
+        # combos that interleave tables and rules score as on a fresh plan
+        t, ds = domain
+        tables = (ic_table(t, ICModelId.MENG), ic_table(t, ICModelId.SECO))
+        measures = [m for m in SimMeasureId if m is not SimMeasureId.BATET]
+        plan = _PairPlan(t, ds)
+        for measure, mode, table in itertools.product(measures, ("max_depth", "max_ic"),
+                                                      tables):
+            assert repr(plan.score(table, measure, mode)) == \
+                repr(_PairPlan(t, ds).score(table, measure, mode))
+
+    def test_batet_names_the_pair_the_word_path_names(self, domain):
+        # the failing pair is second in the plan, whose kept lists another
+        # measure has filled
+        t, ds = domain
+        table = ic_table(t, ICModelId.MENG)
+        with pytest.raises(BatetUndefined) as word:
+            word_similarity(t, table, SimMeasureId.BATET, "n05", "n05", "max_ic")
+        plan = _PairPlan(t, ds)
+        plan.score(table, SimMeasureId.LIN, "max_ic")
+        for _ in range(2):
+            with pytest.raises(BatetUndefined) as err:
+                plan.score(table, SimMeasureId.BATET, "max_ic")
+            assert str(err.value) == str(word.value)
+
+    def test_batet_names_the_first_failing_pair(self):
+        # under max_ic, meng leaves both n4 x n4 and n5 x n5 outside batet's
+        # domain here; the plan names the one it lists first
+        t = freeze(RawGraph(parents={"n0": [], "n1": ["n0"], "n2": ["n1"], "n3": ["n1"],
+                                     "n4": ["n0", "n2"], "n5": ["n0", "n3"]}))
+        table = ic_table(t, ICModelId.MENG)
+        ds = toy_dataset([("n1", "n2", 1.0), ("n5", "n5", 2.0), ("n4", "n4", 3.0)])
+        with pytest.raises(BatetUndefined) as word:
+            word_similarity(t, table, SimMeasureId.BATET, "n5", "n5", "max_ic")
+        with pytest.raises(BatetUndefined) as err:
+            evaluate(t, ds, table, SimMeasureId.BATET, "max_ic")
+        assert str(err.value) == str(word.value)
 
 
 class Reference:

@@ -6,6 +6,7 @@ alongside the antichain invariant; hypothesis properties over drawn DAGs
 check every measure's symmetry under both LCS rules.
 """
 
+import itertools
 import math
 import random
 
@@ -59,16 +60,18 @@ class TestLcs:
         assert pair_similarity(t, table, RESNIK, "c", "c", "max_ic") == 0.9
 
     def test_bad_mode_rejected(self, chain, chain_ic):
-        # every measure checks the rule, proposed included, which uses none
+        # every measure checks the rule, proposed included, which uses none,
+        # on every call: the table keeps no formula for a failed check
         dataset = BenchmarkDataset(name="chain", pairs=(("a", "b", 1.0), ("b", "b", 2.0)),
                                    scale=(1.0, 2.0))
-        for measure in ALL_MEASURES:
+        for measure, mode in itertools.product(ALL_MEASURES, ["bogus", ["max_depth"]]):
             with pytest.raises(ValueError, match="lcs_mode"):
-                pair_similarity(chain, chain_ic, measure, "a", "b", "bogus")
+                pair_similarity(chain, chain_ic, measure, "a", "b", mode)
             with pytest.raises(ValueError, match="lcs_mode"):
-                word_similarity(chain, chain_ic, measure, "a", "b", "bogus")
+                word_similarity(chain, chain_ic, measure, "a", "b", mode)
             with pytest.raises(ValueError, match="lcs_mode"):
-                evaluate(chain, dataset, chain_ic, measure, "bogus")
+                evaluate(chain, dataset, chain_ic, measure, mode)
+        assert chain_ic.formulas == {}
 
     def test_unknown_input_comes_before_the_checks(self, chain):
         # an id or word that is not there is named first, on the pair path as
@@ -199,11 +202,15 @@ class TestMeasureFormulas:
             pair_similarity(t, table, BATET, "only", "only")
 
     def test_proposed_rejects_unbounded_table(self, chain):
+        # on every call: the table keeps no formula for a failed check
         qingbo = ic_table(chain, ICModelId.QINGBO)
-        with pytest.raises(UnboundedIC):
-            pair_similarity(chain, qingbo, PROPOSED, "a", "b")
+        for _ in range(2):
+            with pytest.raises(UnboundedIC):
+                pair_similarity(chain, qingbo, PROPOSED, "a", "b")
+        assert qingbo.formulas == {}
         normalized = ic_table(chain, ICModelId.QINGBO, ICConfig(normalize_unbounded=True))
         assert 0.0 <= pair_similarity(chain, normalized, PROPOSED, "a", "b") <= 1.0
+        assert list(normalized.formulas) == [PROPOSED]
 
 
 class TestMeasureProperties:
@@ -310,6 +317,25 @@ class TestWordSimilarity:
         # ace only names star2, so the performer sense must win
         assert (sa, sb) == ("star2", "star2")
         assert score == table["star2"]
+
+    @pytest.mark.parametrize("lcs_mode", LCS_MODES)
+    def test_measure_given_by_member_or_value(self, toy, lcs_mode):
+        # word_similarity takes the maximum without the detail's sense pair;
+        # a name that is not a measure's value fails as SimMeasureId fails
+        table = ic_table(toy, ICModelId.PROPOSED)
+        for measure in ALL_MEASURES:
+            for given in (measure, measure.value):
+                best, _ = word_similarity_detail(toy, table, given, "star", "ace", lcs_mode)
+                assert repr(word_similarity(toy, table, given, "star", "ace", lcs_mode)) \
+                    == repr(best)
+        for bad in ("bogus", "RESNIK"):
+            with pytest.raises(ValueError) as expected:
+                SimMeasureId(bad)
+            for call in (word_similarity, word_similarity_detail):
+                with pytest.raises(ValueError) as err:
+                    call(toy, table, bad, "star", "ace", lcs_mode)
+                assert (type(err.value), str(err.value)) == (type(expected.value),
+                                                             str(expected.value))
 
     def test_unknown_word_is_named(self, toy):
         table = ic_table(toy, ICModelId.PROPOSED)
